@@ -15,7 +15,7 @@ Implements the transport mechanisms the paper's attack manipulates:
 The byte stream is modelled symbolically: applications send *messages*
 (TLS records) whose lengths occupy ranges of the sequence space; no
 payload bytes are materialized.  Segments carry a reference to the
-sender's :class:`~repro.tcp.stream.StreamLayout`, standing in for the
+sender's :class:`~repro.transport.stream.StreamLayout`, standing in for the
 self-describing byte stream on the wire.
 """
 
@@ -26,7 +26,7 @@ from repro.tcp.listener import TCPListener
 from repro.tcp.reassembly import ReassemblyBuffer
 from repro.tcp.rtt import RTOEstimator
 from repro.tcp.segment import TCPSegment
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 __all__ = [
     "RTOEstimator",

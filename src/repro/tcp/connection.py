@@ -45,7 +45,7 @@ from repro.tcp.segment import (
     TCPSegment,
     flag_set,
 )
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 
 class TCPState(enum.Enum):

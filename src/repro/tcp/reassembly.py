@@ -2,11 +2,18 @@
 
 Tracks which parts of the peer's sequence space have arrived, merges
 overlapping ranges, and advances the cumulative acknowledgement point.
+Lookups bisect the sorted range list, so a QUIC packet-number buffer
+with hundreds of permanent holes stays cheap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import List, Tuple
+
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 
 class ReassemblyBuffer:
@@ -14,7 +21,8 @@ class ReassemblyBuffer:
 
     def __init__(self, initial_seq: int = 0) -> None:
         self._rcv_nxt = initial_seq
-        self._segments: List[Tuple[int, int]] = []  # sorted, disjoint
+        # Sorted, with a gap between neighbours; every start > rcv_nxt.
+        self._segments: List[Tuple[int, int]] = []
         self.duplicate_bytes = 0
 
     @property
@@ -31,6 +39,15 @@ class ReassemblyBuffer:
     def has_gap(self) -> bool:
         """True when out-of-order data is waiting on a hole."""
         return bool(self._segments)
+
+    def covers(self, start: int, end: int) -> bool:
+        """Whether every byte of non-empty ``[start, end)`` has arrived."""
+        if end <= self._rcv_nxt:
+            return True
+        # Buffered ranges all start above rcv_nxt, with gaps between
+        # them: only the last one starting at or before ``start`` can.
+        index = bisect_right(self._segments, start, key=_START)
+        return index > 0 and end <= self._segments[index - 1][1]
 
     def receive(self, start: int, end: int) -> Tuple[int, bool]:
         """Accept range ``[start, end)``.
@@ -53,41 +70,22 @@ class ReassemblyBuffer:
         return self._rcv_nxt, not new_bytes
 
     def _insert(self, start: int, end: int) -> bool:
-        """Merge ``[start, end)`` into the buffered set; True if it added
-        at least one new byte."""
-        merged: List[Tuple[int, int]] = []
-        added = False
-        placed = False
-        new_start, new_end = start, end
-        for seg_start, seg_end in self._segments:
-            if seg_end < new_start:
-                merged.append((seg_start, seg_end))
-            elif new_end < seg_start:
-                if not placed:
-                    if self._covers_new_bytes(new_start, new_end):
-                        added = True
-                    merged.append((new_start, new_end))
-                    placed = True
-                merged.append((seg_start, seg_end))
-            else:
-                # Overlap: fold the existing segment into the new one.
-                if new_start < seg_start or new_end > seg_end:
-                    added = True
-                new_start = min(new_start, seg_start)
-                new_end = max(new_end, seg_end)
-        if not placed:
-            if self._covers_new_bytes(new_start, new_end):
-                added = True
-            merged.append((new_start, new_end))
-        self._segments = merged
+        """Merge non-empty ``[start, end)`` into the buffered set; True
+        if it added at least one new byte."""
+        segments = self._segments
+        # The block of segments touching [start, end), adjacency included.
+        lo = bisect_left(segments, start, key=_END)
+        hi = bisect_right(segments, end, lo=lo, key=_START)
+        if lo == hi:
+            segments.insert(lo, (start, end))
+            return True
+        # With two or more segments in the block, end > first_end: the
+        # gap after the first one gets filled.
+        first_start, first_end = segments[lo]
+        added = start < first_start or end > first_end
+        last_end = segments[hi - 1][1]
+        segments[lo:hi] = [(min(start, first_start), max(end, last_end))]
         return added
-
-    def _covers_new_bytes(self, start: int, end: int) -> bool:
-        """True when ``[start, end)`` is not fully covered already."""
-        for seg_start, seg_end in self._segments:
-            if seg_start <= start and end <= seg_end:
-                return False
-        return end > start
 
     def _advance(self) -> None:
         while self._segments and self._segments[0][0] <= self._rcv_nxt:

@@ -2,7 +2,7 @@
 
 A segment names a half-open range ``[seq, seq + payload_bytes)`` of the
 sender's sequence space.  Instead of carrying bytes it carries a
-reference to the sender's :class:`~repro.tcp.stream.StreamLayout`, which
+reference to the sender's :class:`~repro.transport.stream.StreamLayout`, which
 maps sequence ranges back to application messages — the simulated
 equivalent of the byte stream describing itself.  ``tls_records`` lists
 the TLS record headers that *begin* inside the segment, which is

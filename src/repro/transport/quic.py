@@ -39,8 +39,10 @@ all work on QUIC traffic without modification.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.netsim.address import Endpoint
@@ -62,6 +64,8 @@ FLAGS_ACK = frozenset({"ACK"})
 FLAGS_ONE_RTT = frozenset({"1RTT"})
 FLAGS_CLOSE = frozenset({"CLOSE"})
 FLAGS_CLOSE_RESET = frozenset({"CLOSE", "RESET"})
+
+_RANGE_START = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -525,14 +529,15 @@ class QuicConnection:
     # -- acknowledgements --------------------------------------------------
 
     def _handle_acks(self, ack_ranges: Tuple[Tuple[int, int], ...]) -> None:
+        # ``ack_ranges`` is sorted and disjoint (see ``_ack_ranges``), so
+        # only the last range starting at or before ``pn`` can hold it.
         newly_acked: List[Tuple[int, _SentPacket]] = []
         for pn, record in self._sent.items():
             if record.acked:
                 continue
-            for start, end in ack_ranges:
-                if start <= pn < end:
-                    newly_acked.append((pn, record))
-                    break
+            index = bisect_right(ack_ranges, pn, key=_RANGE_START)
+            if index and pn < ack_ranges[index - 1][1]:
+                newly_acked.append((pn, record))
         if not newly_acked:
             return
 
@@ -613,7 +618,9 @@ class QuicConnection:
         """Queue a lost packet's not-yet-acked chunks for retransmission."""
         for chunk in record.chunks:
             tx = self._tx_streams[chunk.stream_id]
-            if self._range_acked(tx.acked, chunk.start, chunk.end):
+            # A partially acked chunk is resent whole: the receiver
+            # deduplicates by offset, so that costs only wire bytes.
+            if tx.acked.covers(chunk.start, chunk.end):
                 continue  # every byte already acked via another packet
             self._retx.append(
                 _PendingRange(
@@ -624,21 +631,6 @@ class QuicConnection:
                     chunk.global_start,
                 )
             )
-
-    @staticmethod
-    def _range_acked(acked: ReassemblyBuffer, start: int, end: int) -> bool:
-        """Whether ``[start, end)`` is fully covered by acked ranges.
-
-        A partially-covered chunk reports False and is retransmitted
-        whole — the receiver deduplicates by offset, so the only cost is
-        a few redundant wire bytes.
-        """
-        if end <= acked.rcv_nxt:
-            return True
-        for range_start, range_end in acked.out_of_order_ranges:
-            if range_start <= max(start, acked.rcv_nxt) and end <= range_end:
-                return True
-        return False
 
     # -- receiving ---------------------------------------------------------
 
@@ -827,6 +819,12 @@ class QuicConnection:
     # ------------------------------------------------------------------
 
     def _ack_ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """Received packet numbers, sorted and strictly disjoint.
+
+        The cumulative range ``[0, rcv_nxt)`` comes first, then the
+        buffer's ascending out-of-order ranges, which all start above
+        ``rcv_nxt``; the peer's ``_handle_acks`` bisects on this order.
+        """
         ranges: List[Tuple[int, int]] = []
         if self._pn_buffer.rcv_nxt > 0:
             ranges.append((0, self._pn_buffer.rcv_nxt))

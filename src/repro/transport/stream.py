@@ -11,8 +11,7 @@ with an explicit length.
 
 This module lives under :mod:`repro.transport` so that analysis code
 (:mod:`repro.core.metrics`) and every transport implementation share a
-single layout type without depending on the TCP package;
-``repro.tcp.stream`` re-exports it for backward compatibility.
+single layout type without depending on the TCP package.
 """
 
 from __future__ import annotations

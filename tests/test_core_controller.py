@@ -18,7 +18,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.topology import build_adversary_path
 from repro.simkernel.randomstream import RandomStreams
 from repro.tcp.segment import ACK, TCPSegment
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE, TLSRecord
 
 

@@ -9,7 +9,7 @@ from repro.core.metrics import (
 )
 from repro.h2.frames import DataFrame, HeadersFrame
 from repro.h2.server import ResponseInstance
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 from repro.tls.record import APPLICATION_DATA, TLSRecord
 
 

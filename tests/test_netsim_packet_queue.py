@@ -7,7 +7,7 @@ from repro.netsim.packet import IP_HEADER_BYTES, TCP_HEADER_BYTES, Packet
 from repro.netsim.queue import DropTailQueue, TokenBucket
 from repro.simkernel.units import MBPS
 from repro.tcp.segment import ACK, TCPSegment
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 
 # -- Endpoint ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.h2.frames import DataFrame
 from repro.h2.server import ResponseInstance
 from repro.hpack.codec import HpackDecoder, HpackEncoder, prefix_integer_length
 from repro.hpack.huffman import huffman_encoded_length
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 from repro.tls.record import APPLICATION_DATA, TLSRecord
 
 header_names = st.sampled_from(

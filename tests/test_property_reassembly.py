@@ -1,10 +1,10 @@
 """Property-based tests for TCP reassembly and the stream layout."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.tcp.reassembly import ReassemblyBuffer
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 
 class _Msg:
@@ -49,7 +49,7 @@ def test_reassembly_buffered_ranges_disjoint_and_sorted(segments):
     for (a_start, a_end), (b_start, b_end) in zip(ranges, ranges[1:]):
         assert a_end < b_start  # disjoint, strictly ordered
     for start, end in ranges:
-        assert start > buffer.rcv_nxt or start <= buffer.rcv_nxt <= end is False
+        assert start > buffer.rcv_nxt
         assert end > start
 
 
@@ -65,6 +65,101 @@ def test_reassembly_duplicate_replay_changes_nothing(segments):
         _, duplicate = buffer.receive(start, end)
         assert duplicate
     assert (buffer.rcv_nxt, buffer.out_of_order_ranges) == state
+
+
+class _ByteSetModel:
+    """Reference reassembly: the set of every byte received so far."""
+
+    def __init__(self):
+        self.have = set()
+        self.rcv_nxt = 0
+        self.duplicate_bytes = 0
+
+    def receive(self, start, end):
+        fresh = set(range(start, end)) - self.have
+        if not fresh and end > start:
+            self.duplicate_bytes += end - start
+        self.have |= fresh
+        while self.rcv_nxt in self.have:
+            self.rcv_nxt += 1
+        return self.rcv_nxt, not fresh
+
+    def ranges(self):
+        """Maximal runs of received bytes above ``rcv_nxt``."""
+        runs = []
+        for byte in sorted(b for b in self.have if b > self.rcv_nxt):
+            if runs and runs[-1][1] == byte:
+                runs[-1][1] = byte + 1
+            else:
+                runs.append([byte, byte + 1])
+        return [tuple(run) for run in runs]
+
+    def covers(self, start, end):
+        return all(byte in self.have for byte in range(start, end))
+
+
+# Widths from 0 (an empty range) up; many land adjacent or overlapping.
+arrivals_strategy = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 40)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@st.composite
+def sparse_arrivals(draw):
+    """>= 300 one-byte holes left open, plus fills that merge neighbours.
+
+    Slot ``i`` is ``[3i + 1, 3i + 3)``, so byte ``3i`` stays a hole
+    until a fill ``[3i, 3i + 1)`` arrives and joins slot ``i - 1`` and
+    slot ``i`` into one range by adjacency alone.
+    """
+    count = draw(st.integers(340, 400))
+    arrivals = [(3 * i + 1, 3 * i + 3) for i in draw(st.permutations(range(count)))]
+    for slot in draw(st.lists(st.integers(0, count - 1), max_size=40)):
+        position = draw(st.integers(0, len(arrivals)))
+        arrivals.insert(position, (3 * slot, 3 * slot + 1))
+    return arrivals
+
+
+def _check_against_model(arrivals, probes):
+    buffer, model = ReassemblyBuffer(), _ByteSetModel()
+    for start, end in arrivals:
+        assert buffer.receive(start, end) == model.receive(start, end)
+        assert buffer.duplicate_bytes == model.duplicate_bytes
+    assert buffer.rcv_nxt == model.rcv_nxt
+    assert buffer.out_of_order_ranges == model.ranges()
+    for start, end in probes:
+        assert buffer.covers(start, end) == model.covers(start, end)
+    return buffer
+
+
+probes_strategy = st.lists(
+    st.tuples(st.integers(0, 1250), st.integers(1, 40)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ),
+    max_size=40,
+)
+
+
+@given(arrivals_strategy, probes_strategy)
+@settings(max_examples=300)
+def test_reassembly_matches_byte_set_model(arrivals, probes):
+    """rcv_nxt, ranges, duplicate flags/bytes and covers() all agree."""
+    _check_against_model(arrivals, probes)
+
+
+@given(sparse_arrivals(), probes_strategy)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_reassembly_matches_model_with_hundreds_of_holes(arrivals, probes):
+    buffer = _check_against_model(arrivals + arrivals[:20], probes)
+    assert len(buffer.out_of_order_ranges) >= 300
 
 
 @given(st.lists(st.integers(1, 5000), min_size=1, max_size=50))

@@ -7,7 +7,7 @@ from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.reassembly import ReassemblyBuffer
 from repro.tcp.rtt import RTOEstimator
 from repro.tcp.segment import ACK, FIN, RST, SYN, TCPSegment
-from repro.tcp.stream import StreamLayout
+from repro.transport.stream import StreamLayout
 
 
 class _Msg:

@@ -1,16 +1,17 @@
 """The pluggable transport layer and the QUIC-like datagram transport.
 
-Covers the registry/env resolution seam, the backward-compatibility
-shim for the relocated :class:`StreamLayout`, reliable delivery of the
-QUIC transport under loss, and the full HTTP/2 stack running over
-``transport="quic"``.
+Covers the registry/env resolution seam, reliable delivery of the QUIC
+transport under loss (including many permanent packet-number holes),
+and the full HTTP/2 stack running over ``transport="quic"``.
 """
 
 import pytest
 
 from repro.h2.client import H2Client
 from repro.h2.server import H2Server, ResourceSpec, ServerConfig
+from repro.netsim.capture import Direction
 from repro.netsim.link import LinkConfig
+from repro.netsim.middlebox import Verdict
 from repro.netsim.topology import build_adversary_path
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
@@ -79,14 +80,6 @@ def test_quic_config_adapts_tcp_config():
     assert QuicConfig.adapt(None) == QuicConfig()
 
 
-def test_stream_layout_shim_reexports_transport_module():
-    from repro.tcp import stream as tcp_stream
-    from repro.transport import stream as transport_stream
-
-    assert tcp_stream.StreamLayout is transport_stream.StreamLayout
-    assert tcp_stream.MessageSpan is transport_stream.MessageSpan
-
-
 def test_connections_satisfy_transport_protocol():
     topology = build_adversary_path(seed=3)
     tcp = TCPConnection(
@@ -136,6 +129,72 @@ def test_quic_delivers_all_messages_in_order_despite_loss(seed, loss):
     assert all(not dup for _, dup in received)
     if loss:
         assert client.retransmitted_segments > 0
+
+
+class _DataFrame:
+    """Duck-types an HTTP/2 DATA frame, so the message rides its own stream."""
+
+    def __init__(self, stream_id):
+        self.stream_id = stream_id
+        self.data_bytes = 1
+
+
+class _StreamMsg(_Msg):
+    def __init__(self, length, name, stream_id):
+        super().__init__(length, name)
+        self.payload = _DataFrame(stream_id)
+
+
+class _DropEveryKthData:
+    """Drops every k-th data datagram; records the longest ack list seen."""
+
+    def __init__(self, k):
+        self.k = k
+        self.data_seen = 0
+        self.longest_ack_list = 0
+
+    def classify(self, packet, direction, now):
+        datagram = packet.segment
+        if direction is Direction.SERVER_TO_CLIENT:
+            self.longest_ack_list = max(
+                self.longest_ack_list, len(datagram.ack_ranges)
+            )
+        elif datagram.payload_bytes > 0:
+            self.data_seen += 1
+            if self.data_seen % self.k == 0:
+                return Verdict.drop()
+        return Verdict.forward()
+
+
+def test_quic_many_permanent_packet_number_holes():
+    """Every dropped datagram leaves a hole the peer acks around forever."""
+    topology, sim, accepted, client = _quic_pair(seed=4)
+    dropper = _DropEveryKthData(k=4)
+    for direction in (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT):
+        topology.middlebox.add_filter(direction, dropper)
+    client.connect()
+    sim.run_until(5.0)
+    received = []
+    accepted[0].on_message = lambda m, dup: received.append(m)
+    sent = [
+        _StreamMsg(5000, (stream_id, index), stream_id)
+        for index in range(20)
+        for stream_id in (1, 3, 5, 7, 9, 11)
+    ]
+    for message in sent:
+        client.send_message(message)
+    sim.run_until(600.0)
+
+    assert dropper.longest_ack_list > 100
+    # Every stream delivers each of its messages once, in order, and
+    # reassembles exactly the bytes sent.
+    for stream_id in (1, 3, 5, 7, 9, 11):
+        names = [m.name for m in received if m.payload.stream_id == stream_id]
+        assert names == [(stream_id, index) for index in range(20)]
+        rx = accepted[0]._rx_streams[stream_id]
+        assert rx.reassembly.rcv_nxt == rx.delivered_upto == 20 * 5000
+        assert not rx.reassembly.has_gap
+    assert client.retransmitted_segments > 0
 
 
 def test_quic_clean_link_never_retransmits():
