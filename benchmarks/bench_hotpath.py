@@ -4,10 +4,8 @@ Times the two canonical single-trial slices
 (:mod:`repro.experiments.hotpath`) and writes a machine-readable
 ``BENCH_hotpath.json`` next to the repository root.  The JSON embeds
 
-* min/mean wall time per slice over a few repetitions, for both the
-  scalar ``python`` backend and the batching ``fast`` backend,
-* a ``fastpath`` section (fast-vs-python speedup per slice plus the
-  fast pass's ``sim.batch_runs`` / ``sim.batched_events`` counters),
+* min/mean wall time per slice over a few repetitions (the packet-level
+  slices run the same code under either backend, so one pass suffices),
 * the profiler snapshot of one profiled pass (event/packet/frame
   counters, phase timers, HPACK cache hit rates),
 * peak memory (process RSS high-water mark plus the tracemalloc
@@ -23,8 +21,8 @@ Runs two ways:
   test, honouring ``REPRO_TRIALS`` via ``conftest.trials``.
 
 Wall-clock comparisons against the checked-in reference only hold on
-comparable hardware, so the per-backend speedup assertions (see
-``TARGET_SPEEDUP``) fire only on hosts with at least 4 cores (or when
+comparable hardware, so the speedup assertion (see
+``TARGET_SPEEDUP``) fires only on hosts with at least 4 cores (or when
 ``REPRO_BENCH_ASSERT_SPEEDUP=1``), mirroring
 ``bench_parallel_executor.py``.
 """
@@ -44,32 +42,25 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, str(_src))
 
 from repro.experiments.hotpath import KINDS, profile_reference, run_reference_trial
-from repro.fastpath import BACKEND_ENV, BACKENDS
 from repro.transport import TRANSPORT_ENV, TRANSPORTS
 
-#: Reference single-trial wall times (seconds): the *python* backend at
-#: the commit this baseline was rebased to, measured on the development
-#: machine (min of 5 warm repetitions).  Rebased from the original
-#: 1e786f8 pre-optimization numbers so backend speedups are measured
-#: against the real current baseline, not a two-generations-old one.
+#: Reference single-trial wall times (seconds) at the commit this
+#: baseline was rebased to, measured on the development machine (min of
+#: 5 warm repetitions).  Rebased from the original 1e786f8
+#: pre-optimization numbers so speedups are measured against the real
+#: current baseline, not a two-generations-old one.
 REFERENCE = {
     "commit": "1abc03a",
     "table1_s": 0.1353,
     "fig6_s": 0.1884,
 }
 
-#: Acceptance target per backend: single-trial time vs. the reference,
-#: as regression gates (>= 0.9x of the rebased baseline each).  Event-run
-#: batching keeps the fast backend at parity on these slices (measured
-#: 0.9x-1.1x of python, within host noise): ~27% of events take the
-#: batch path, but per-event cost is dominated by protocol logic
-#: (TCP/H2 processing), not dispatch.  The order-of-magnitude fast-
-#: backend wins live in the analytic campaign kernel — see
+#: Acceptance target: single-trial time vs. the reference, as a
+#: regression gate (>= 0.9x of the rebased baseline).  Per-event cost is
+#: dominated by protocol logic (TCP/H2 processing), not dispatch; the
+#: fast backend's wins live in the analytic campaign kernel — see
 #: BENCH_campaign.json.
-TARGET_SPEEDUP = {
-    "python": 0.9,
-    "fast": 0.9,
-}
+TARGET_SPEEDUP = 0.9
 
 DEFAULT_REPS = 5
 QUICK_REPS = 2
@@ -111,31 +102,6 @@ def measure_memory() -> dict:
     }
 
 
-class _backend_env:
-    """Temporarily pin ``REPRO_BACKEND`` for one measurement pass.
-
-    Simulators resolve the backend from the environment at construction
-    time, so flipping the variable between passes is enough to measure
-    the same slice under both dispatch strategies in one process.
-    """
-
-    def __init__(self, backend: str) -> None:
-        self._backend = backend
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = os.environ.get(BACKEND_ENV)
-        os.environ[BACKEND_ENV] = self._backend
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = self._saved
-        return False
-
-
 class _transport_env:
     """Temporarily pin ``REPRO_TRANSPORT`` for one measurement pass.
 
@@ -163,26 +129,17 @@ class _transport_env:
 
 
 def run_bench(reps: int) -> dict:
-    """Measure both slices under both backends plus one profiled pass
-    per backend; returns the payload written to ``BENCH_hotpath.json``."""
-    timings = {}
-    for backend in BACKENDS:
-        with _backend_env(backend):
-            timings[backend] = {kind: time_slice(kind, reps) for kind in KINDS}
-    with _backend_env("python"):
-        profiler, _ = profile_reference()
-    with _backend_env("fast"):
-        fast_profiler, _ = profile_reference()
+    """Measure both slices plus one profiled pass; returns the payload
+    written to ``BENCH_hotpath.json``."""
+    timings = {kind: time_slice(kind, reps) for kind in KINDS}
+    profiler, _ = profile_reference()
     speedups = {
-        backend: {
-            kind: round(REFERENCE[f"{kind}_s"] / timings[backend][kind]["min_s"], 2)
-            for kind in KINDS
-        }
-        for backend in BACKENDS
+        kind: round(REFERENCE[f"{kind}_s"] / timings[kind]["min_s"], 2)
+        for kind in KINDS
     }
-    # Per-transport timings of the same slices (python backend): how
-    # much the QUIC-like per-stream recovery machinery costs relative
-    # to the TCP byte stream on identical workloads.
+    # Per-transport timings of the same slices: how much the QUIC-like
+    # per-stream recovery machinery costs relative to the TCP byte
+    # stream on identical workloads.
     transport_timings = {}
     for transport in TRANSPORTS:
         with _transport_env(transport):
@@ -200,31 +157,13 @@ def run_bench(reps: int) -> dict:
             for kind in KINDS
         },
     }
-    fast_counters = fast_profiler.snapshot()["counters"]
-    events = fast_counters.get("sim.events", 0)
-    batched = fast_counters.get("sim.batched_events", 0)
-    fastpath = {
-        "speedup_fast_vs_python": {
-            kind: round(
-                timings["python"][kind]["min_s"]
-                / timings["fast"][kind]["min_s"],
-                2,
-            )
-            for kind in KINDS
-        },
-        "batch_runs": fast_counters.get("sim.batch_runs", 0),
-        "batched_events": batched,
-        "events": events,
-        "batched_event_fraction": round(batched / events, 4) if events else 0.0,
-    }
     return {
         "bench": "hotpath",
         "reps": reps,
         "timings": timings,
         "reference": dict(REFERENCE),
         "speedup_vs_reference": speedups,
-        "target_speedup": dict(TARGET_SPEEDUP),
-        "fastpath": fastpath,
+        "target_speedup": TARGET_SPEEDUP,
         "transports": transports,
         "profile": profiler.snapshot(),
         "memory": measure_memory(),
@@ -239,24 +178,13 @@ def run_bench(reps: int) -> dict:
 
 def render_summary(payload: dict) -> str:
     lines = ["hot-path bench"]
-    for backend in BACKENDS:
-        for kind in KINDS:
-            timing = payload["timings"][backend][kind]
-            lines.append(
-                f"  {backend:<7} {kind:<8} min {timing['min_s'] * 1000.0:7.1f} ms"
-                f"  (reference {payload['reference'][f'{kind}_s'] * 1000.0:7.1f} ms,"
-                f" {payload['speedup_vs_reference'][backend][kind]:.2f}x)"
-            )
-    fastpath = payload["fastpath"]
-    lines.append(
-        f"  fast vs python: "
-        + ", ".join(
-            f"{kind} {fastpath['speedup_fast_vs_python'][kind]:.2f}x"
-            for kind in KINDS
+    for kind in KINDS:
+        timing = payload["timings"][kind]
+        lines.append(
+            f"  {kind:<8} min {timing['min_s'] * 1000.0:7.1f} ms"
+            f"  (reference {payload['reference'][f'{kind}_s'] * 1000.0:7.1f} ms,"
+            f" {payload['speedup_vs_reference'][kind]:.2f}x)"
         )
-        + f"  ({fastpath['batched_events']}/{fastpath['events']} events"
-        f" in {fastpath['batch_runs']} batch runs)"
-    )
     transports = payload["transports"]
     lines.append(
         "  quic vs tcp:    "
@@ -264,7 +192,7 @@ def render_summary(payload: dict) -> str:
             f"{kind} {transports['slowdown_quic_vs_tcp'][kind]:.2f}x"
             for kind in KINDS
         )
-        + "  (transport slowdown, python backend)"
+        + "  (transport slowdown)"
     )
     return "\n".join(lines)
 
@@ -295,24 +223,16 @@ def test_bench_hotpath():
     print(render_summary(payload))
     print(f"wrote {path}")
 
-    # Structural checks hold on any machine: both backends and both
-    # slices measured, the profiled pass saw real work, the fast pass
-    # actually exercised the batch path, and the JSON round-trips.
-    assert set(payload["timings"]) == set(BACKENDS)
-    for backend in BACKENDS:
-        assert set(payload["timings"][backend]) == set(KINDS)
+    # Structural checks hold on any machine: both slices measured, the
+    # profiled pass saw real work, and the JSON round-trips.
+    assert set(payload["timings"]) == set(KINDS)
     counters = payload["profile"]["counters"]
     assert counters["sim.events"] > 0
     assert counters["net.packets"] > 0
-    assert payload["fastpath"]["batch_runs"] > 0
-    assert payload["fastpath"]["batched_events"] > 0
     assert payload["memory"]["peak_rss_kb"] > 0
     assert payload["memory"]["tracemalloc_peak_kb"] > 0
     parsed = json.loads(path.read_text())
-    assert parsed["speedup_vs_reference"].keys() == set(BACKENDS)
-    assert parsed["fastpath"]["speedup_fast_vs_python"].keys() == {
-        "table1", "fig6"
-    }
+    assert parsed["speedup_vs_reference"].keys() == set(KINDS)
     assert set(payload["transports"]["timings"]) == set(TRANSPORTS)
     for transport in TRANSPORTS:
         assert set(payload["transports"]["timings"][transport]) == set(KINDS)
@@ -321,13 +241,11 @@ def test_bench_hotpath():
 
     # The wall-clock claims need comparable hardware.
     if speedup_assertable():
-        for backend in BACKENDS:
-            speedup = payload["speedup_vs_reference"][backend]["table1"]
-            assert speedup >= TARGET_SPEEDUP[backend], (
-                f"expected {backend} backend >={TARGET_SPEEDUP[backend]}x "
-                f"over the {REFERENCE['commit']} reference on the Table I "
-                f"slice, got {speedup:.2f}x"
-            )
+        speedup = payload["speedup_vs_reference"]["table1"]
+        assert speedup >= TARGET_SPEEDUP, (
+            f"expected >={TARGET_SPEEDUP}x over the {REFERENCE['commit']} "
+            f"reference on the Table I slice, got {speedup:.2f}x"
+        )
 
 
 def main(argv=None) -> int:
@@ -358,18 +276,14 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
 
     if speedup_assertable():
-        status = 0
-        for backend in BACKENDS:
-            speedup = payload["speedup_vs_reference"][backend]["table1"]
-            if speedup < TARGET_SPEEDUP[backend]:
-                print(
-                    f"WARNING: {backend} table1 speedup {speedup:.2f}x below "
-                    f"the {TARGET_SPEEDUP[backend]}x target (reference "
-                    f"machine differs?)",
-                    file=sys.stderr,
-                )
-                status = 1
-        return status
+        speedup = payload["speedup_vs_reference"]["table1"]
+        if speedup < TARGET_SPEEDUP:
+            print(
+                f"WARNING: table1 speedup {speedup:.2f}x below the "
+                f"{TARGET_SPEEDUP}x target (reference machine differs?)",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 

@@ -57,7 +57,7 @@ from repro.experiments.executor import (
     heartbeat,
 )
 from repro.experiments.report import format_table
-from repro.fastpath import BACKEND_ENV, resolve_backend
+from repro.fastpath import resolve_backend
 from repro.web.workload import PageSpec, PopulationConfig, PopulationWorkload
 
 #: Session engines accepted by :class:`CampaignConfig`.
@@ -379,8 +379,8 @@ class ShardTask:
     ``backend`` selects the execution strategy, never the result: the
     ``fast`` analytic path runs the shard through the numpy batch
     kernel (:func:`repro.fastpath.analytic.evaluate_shard_analytic`),
-    which folds to a bit-identical summary; in ``full`` mode it turns
-    on simulator event batching via the environment instead.
+    which folds to a bit-identical summary.  ``full`` mode runs the
+    packet-level engine, which is the same code on both backends.
     """
 
     config: CampaignConfig
@@ -402,10 +402,6 @@ class ShardTask:
             return summary.to_json()
         summary = ColumnarSummary()
         full = config.mode == "full"
-        if full and self.backend == "fast":
-            # The packet-level engine reads the backend from the
-            # environment when building its Simulator (event batching).
-            os.environ[BACKEND_ENV] = "fast"
         for session in span:
             heartbeat()  # per-session progress beat (throttled)
             spec = workload.page_spec(session)

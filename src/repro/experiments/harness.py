@@ -461,11 +461,6 @@ def run_trial(
         profiler.add_time("trial.collect", time.perf_counter() - phase_start)
         profiler.count("trials")
         profiler.count("sim.events", sim.events_executed)
-        if sim.batch_runs:
-            # Fast backend only: how much of the event stream the
-            # homogeneous batch path actually took (vs inferred).
-            profiler.count("sim.batch_runs", sim.batch_runs)
-            profiler.count("sim.batched_events", sim.batched_events)
         profiler.count("net.packets", len(topology.middlebox.capture))
         profiler.count("trace.records", len(trace))
         profiler.count(

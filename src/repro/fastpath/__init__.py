@@ -1,13 +1,15 @@
 """Opt-in vectorized backend selection.
 
-The fast backend replaces per-session / per-event Python loops with
-numpy batch kernels behind the *existing* interfaces:
+The fast backend replaces per-session Python loops with numpy batch
+kernels behind the *existing* interfaces:
 
 * :mod:`repro.fastpath.analytic` evaluates whole campaign shards as
   array programs (see :func:`evaluate_shard_analytic`);
-* the simulator batches homogeneous event runs (back-to-back link
-  deliveries, timer expirations) when constructed with
-  ``batching=True``.
+* :mod:`repro.fastpath.infer` extracts size-inference features for a
+  whole batch of observations in a handful of array operations.
+
+The packet-level simulator has a single event-dispatch path and runs
+the same code under either backend.
 
 Selection is explicit and layered: a CLI ``--backend`` argument wins,
 else the ``REPRO_BACKEND`` environment variable, else ``python``.  The

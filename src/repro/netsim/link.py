@@ -67,16 +67,6 @@ class LinkEnd:
         """Transmit ``packet`` toward the opposite end."""
         self._link._transmit(packet, from_index=self._index)
 
-    def deliver(self, packet: Packet) -> None:
-        """Batch-dispatch hook: hand an arrived packet to the handler.
-
-        The link end doubles as the direction's batch key — clean
-        deliveries are scheduled as ``(end, packet)`` pairs, so
-        back-to-back arrivals on one direction form a homogeneous run
-        the simulator can execute without per-event closures.
-        """
-        self._link._deliver(self, packet)
-
     @property
     def link(self) -> "Link":
         return self._link
@@ -213,14 +203,7 @@ class Link:
         direction.sent += 1
 
         to_end = self.b if from_index == 0 else self.a
-        sim = self._sim
-        if sim.batching and effect is None and self.config.jitter <= 0:
-            # Clean fixed-delay delivery: batchable (the common case).
-            # Fault effects and jitter keep the closure path so the
-            # heterogeneous conditions stay on the audited scalar code.
-            sim.schedule_batch_at(arrival, to_end, packet)
-        else:
-            sim.schedule_at(arrival, lambda: self._deliver(to_end, packet))
+        self._sim.schedule_at(arrival, lambda: self._deliver(to_end, packet))
         if effect is not None and effect.duplicate:
             # A duplicated packet follows its original back-to-back.
             dup_arrival = arrival + serialization

@@ -81,25 +81,6 @@ class _IngressAdapter:
         self._middlebox._ingress(packet, self._direction)
 
 
-class _ForwardKey:
-    """Per-direction batch key for undelayed clean forwards.
-
-    Packets that pass the filter pipeline with no delay verdict, no
-    fault effect and no throttle bucket release at the ingress instant;
-    back-to-back clean forwards in one direction form a homogeneous run
-    the simulator dispatches without per-packet closures.
-    """
-
-    __slots__ = ("_middlebox", "_direction")
-
-    def __init__(self, middlebox: "Middlebox", direction: Direction) -> None:
-        self._middlebox = middlebox
-        self._direction = direction
-
-    def deliver(self, packet: Packet) -> None:
-        self._middlebox._forward(packet, self._direction)
-
-
 class Middlebox:
     """Forwards between two links, applying adversary policy."""
 
@@ -134,10 +115,6 @@ class Middlebox:
         self.forwarded = 0
         self.dropped = 0
         self.fault_dropped = 0
-        self._forward_keys: Dict[Direction, _ForwardKey] = {
-            direction: _ForwardKey(self, direction)
-            for direction in Direction
-        }
 
     # Wiring -------------------------------------------------------------
 
@@ -234,18 +211,6 @@ class Middlebox:
             extra = bucket.delay_until_conformant(packet.wire_size, release_time)
             bucket.consume_at(packet.wire_size, release_time + extra)
             release_time += extra
-        if (
-            self._sim.batching
-            and release_delay == 0.0
-            and bucket is None
-            and fault is None
-        ):
-            # Undelayed clean forward: batchable.  Any adversary delay,
-            # throttle or fault keeps the per-packet closure path.
-            self._sim.schedule_batch_at(
-                release_time, self._forward_keys[direction], packet
-            )
-            return
         self._sim.schedule_at(
             release_time, lambda: self._forward(packet, direction)
         )

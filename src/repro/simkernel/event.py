@@ -36,25 +36,16 @@ class Event:
         callback: zero-argument callable invoked when the event fires.
         cancelled: True once :meth:`cancel` has been called.  Cancelled
             events stay in the heap but are skipped when popped.
-        batch_key: identity handle grouping homogeneous events (e.g.
-            one link direction's clean deliveries).  Batchable events
-            carry ``(batch_key, payload)`` instead of a closure; the
-            run loop dispatches them via ``batch_key.deliver(payload)``
-            and may execute back-to-back same-key events as one run.
-        payload: the argument handed to ``batch_key.deliver``.
     """
 
-    __slots__ = (
-        "time", "priority", "sequence", "callback", "cancelled", "_queue",
-        "batch_key", "payload",
-    )
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "_queue")
 
     def __init__(
         self,
         time: float,
         priority: int,
         sequence: int,
-        callback: Optional[Callable[[], Any]],
+        callback: Callable[[], Any],
     ) -> None:
         self.time = time
         self.priority = priority
@@ -62,8 +53,6 @@ class Event:
         self.callback = callback
         self.cancelled = False
         self._queue: Optional["EventQueue"] = None
-        self.batch_key = None
-        self.payload = None
 
     def cancel(self) -> None:
         """Mark the event so it will be skipped instead of fired.
@@ -128,65 +117,6 @@ class EventQueue:
         event._queue = self
         heappush(self._heap, (time, priority, sequence, event))
         return event
-
-    def push_batchable(
-        self, time: float, priority: int, key: Any, payload: Any
-    ) -> Event:
-        """Insert a batchable event dispatched as ``key.deliver(payload)``.
-
-        Compared to :meth:`push` with a closure this stores plain data;
-        the run loop can collect back-to-back events sharing ``key``
-        into one run and dispatch them with a single bound-method
-        lookup.
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(time, priority, sequence, None)
-        event.batch_key = key
-        event.payload = payload
-        event._queue = self
-        heappush(self._heap, (time, priority, sequence, event))
-        return event
-
-    def pop_run(self, key: Any, until: Optional[float]) -> list:
-        """Pop the contiguous run of heap-top events sharing ``key``.
-
-        Called after a batchable event was popped: collects every
-        immediately-following live event with the *same* key object
-        (identity compare) firing at or before ``until``.  The run is
-        returned in exact heap order; the caller re-pushes any suffix
-        it cannot safely execute.
-        """
-        heap = self._heap
-        run: list = []
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(heap)
-                self._cancelled -= 1
-                continue
-            if event.batch_key is not key:
-                break
-            if until is not None and entry[0] > until:
-                break
-            heappop(heap)
-            event._queue = None
-            run.append(event)
-        return run
-
-    def requeue(self, event: Event) -> None:
-        """Push a previously-popped event back, order fully preserved.
-
-        The event keeps its original ``(time, priority, sequence)``
-        key, so re-pushing the unexecuted suffix of a run leaves the
-        schedule exactly as if those events had never been popped.
-        """
-        event._queue = self
-        heappush(
-            self._heap,
-            (event.time, event.priority, event.sequence, event),
-        )
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None when empty.

@@ -22,26 +22,15 @@ class Simulator:
     #: Timers fire after same-instant packet deliveries.
     PRIORITY_TIMER = 200
 
-    def __init__(self, batching: Optional[bool] = None) -> None:
-        if batching is None:
-            # Resolve from REPRO_BACKEND so default-constructed
-            # simulators (every experiment topology) follow the
-            # session-wide backend choice.
-            from repro.fastpath import fast_backend_active
-
-            batching = fast_backend_active()
-        self.batching = bool(batching)
+    def __init__(self) -> None:
         self._queue = EventQueue()
         # Bound method, hoisted: schedule() runs hundreds of thousands
         # of times per trial and the extra attribute hop is measurable.
         self._push = self._queue.push
-        self._push_batchable = self._queue.push_batchable
         self._now = 0.0
         self._running = False
         self._stopped = False
         self._events_executed = 0
-        self._batch_runs = 0
-        self._batched_events = 0
 
     @property
     def now(self) -> float:
@@ -52,17 +41,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of callbacks executed so far (cancelled ones excluded)."""
         return self._events_executed
-
-    @property
-    def batch_runs(self) -> int:
-        """Homogeneous runs (≥ 2 same-key events) executed back-to-back."""
-        return self._batch_runs
-
-    @property
-    def batched_events(self) -> int:
-        """Events dispatched inside batch runs (subset of
-        ``events_executed``)."""
-        return self._batched_events
 
     @property
     def pending_events(self) -> int:
@@ -113,49 +91,6 @@ class Simulator:
         """Schedule ``callback`` at the current instant (after pending work)."""
         return self._push(self._now, self.PRIORITY_NORMAL, callback)
 
-    def schedule_batch_at(
-        self,
-        time: float,
-        key: Any,
-        payload: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule a batchable event (``key.deliver(payload)``) at
-        absolute time ``time``.
-
-        Semantically identical to ``schedule_at(time, lambda:
-        key.deliver(payload), priority)`` — same firing time, same
-        tie-break order — but stores plain data instead of a closure
-        and lets the run loop execute back-to-back same-key events as
-        one homogeneous run.
-
-        Raises:
-            SchedulingError: if ``time`` is earlier than the current time.
-        """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        return self._push_batchable(time, priority, key, payload)
-
-    def schedule_batch(
-        self,
-        delay: float,
-        key: Any,
-        payload: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule a batchable event ``delay`` seconds from now.
-
-        Raises:
-            SchedulingError: if ``delay`` is negative.
-        """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self._push_batchable(
-            self._now + delay, priority, key, payload
-        )
-
     def stop(self) -> None:
         """Stop the run loop after the current callback returns."""
         self._stopped = True
@@ -184,7 +119,6 @@ class Simulator:
         self._stopped = False
         executed = 0
         pop_until = self._queue.pop_until
-        batching = self.batching
         try:
             while not self._stopped:
                 if max_events is not None and executed >= max_events:
@@ -192,80 +126,12 @@ class Simulator:
                 event = pop_until(until)
                 if event is None:
                     break
-                key = event.batch_key
-                if key is None:
-                    self._now = event.time
-                    event.callback()
-                    executed += 1
-                    self._events_executed += 1
-                    continue
-                if not batching:
-                    # Batchable events still work with batching off —
-                    # selection changes strategy, never semantics.
-                    self._now = event.time
-                    key.deliver(event.payload)
-                    executed += 1
-                    self._events_executed += 1
-                    continue
-                budget = None if max_events is None else max_events - executed
-                executed += self._execute_run(event, until, budget)
+                self._now = event.time
+                event.callback()
+                executed += 1
+                self._events_executed += 1
         finally:
             self._running = False
-
-    def _execute_run(
-        self, first: Event, until: Optional[float], budget: Optional[int]
-    ) -> int:
-        """Execute ``first`` plus the contiguous same-key run behind it.
-
-        Order exactness is unconditional: before each subsequent run
-        member, the heap head is compared against the member's
-        ``(time, priority, sequence)`` key — if a callback scheduled
-        anything that must fire earlier (or stopped the simulator, or
-        the event budget ran out), the unexecuted suffix is re-pushed
-        with its original keys and control returns to the main loop.
-        Batching therefore yields byte-identical traces to per-event
-        dispatch; only the dispatch overhead changes.
-        """
-        queue = self._queue
-        run = queue.pop_run(first.batch_key, until)
-        deliver = first.batch_key.deliver
-        self._now = first.time
-        deliver(first.payload)
-        executed = 1
-        stop_index = None
-        for index, event in enumerate(run):
-            if event.cancelled:
-                # An earlier member's callback cancelled this one (an
-                # ACK cancelling a retransmit timer mid-run) — skip it
-                # exactly as the heap pop paths skip cancelled events.
-                continue
-            if self._stopped or (budget is not None and executed >= budget):
-                stop_index = index
-                break
-            # Re-read the heap each member: a cancellation inside a
-            # callback can trigger compaction, which REBINDS the
-            # queue's heap list — a cached reference would go stale
-            # and the order check would read dead state.
-            heap = queue._heap
-            if heap:
-                head = heap[0]
-                if (head[0], head[1], head[2]) < (
-                    event.time, event.priority, event.sequence
-                ):
-                    stop_index = index
-                    break
-            self._now = event.time
-            deliver(event.payload)
-            executed += 1
-        if stop_index is not None:
-            for event in run[stop_index:]:
-                if not event.cancelled:
-                    queue.requeue(event)
-        self._events_executed += executed
-        if executed > 1:
-            self._batch_runs += 1
-            self._batched_events += executed
-        return executed
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock to zero.

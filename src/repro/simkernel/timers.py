@@ -14,26 +14,6 @@ from repro.simkernel.event import Event
 from repro.simkernel.simulator import Simulator
 
 
-class _TimerRunKey:
-    """Shared batch key for timer expirations.
-
-    The payload is the timer's bound ``_fire`` method; back-to-back
-    expirations (retransmit storms, delayed-ACK sweeps) then form one
-    homogeneous run.  A single module-level key is safe: batch runs are
-    collected per event queue, and queues are never shared across
-    simulators.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def deliver(payload: Callable[[], Any]) -> None:
-        payload()
-
-
-_TIMER_RUN_KEY = _TimerRunKey()
-
-
 class Timer:
     """A single-shot timer that can be (re)started and cancelled.
 
@@ -62,15 +42,9 @@ class Timer:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
         self.cancel()
         self._expiry = self._sim.now + delay
-        if self._sim.batching:
-            self._event = self._sim.schedule_batch(
-                delay, _TIMER_RUN_KEY, self._fire,
-                priority=Simulator.PRIORITY_TIMER,
-            )
-        else:
-            self._event = self._sim.schedule(
-                delay, self._fire, priority=Simulator.PRIORITY_TIMER
-            )
+        self._event = self._sim.schedule(
+            delay, self._fire, priority=Simulator.PRIORITY_TIMER
+        )
 
     def cancel(self) -> None:
         """Disarm the timer; a no-op when it is already idle."""

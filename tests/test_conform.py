@@ -75,9 +75,9 @@ def test_select_experiments_profiles():
 
 @pytest.mark.parametrize("backend", ["python", "fast"])
 def test_golden_fig1_matches_checked_in(monkeypatch, backend):
-    # Both backends must reproduce the checked-in capture: the fast
-    # backend's event-run batching is exactness-preserving, so golden
-    # masters are backend-invariant.
+    # Both backends must reproduce the checked-in capture: packet-level
+    # trials run the same simulator code, so golden masters are
+    # backend-invariant.
     monkeypatch.setenv("REPRO_BACKEND", backend)
     captures, section = golden.run_checks(["fig1"])
     assert section.passed, "\n" + section.render()

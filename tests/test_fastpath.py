@@ -1,19 +1,12 @@
-"""Vectorized backend: scalar/vector equivalence and event batching.
+"""Vectorized backend: scalar/vector equivalence and backend scope.
 
-Two independent exactness surfaces back the ``fast`` backend's
-bit-identity claim:
-
-* **analytic kernel** — Hypothesis drives random :class:`PageSpec`s
-  (including shapes the zipf population never generates, like
-  zero-object pages) through both the scalar
-  :func:`~repro.campaign.engine.evaluate_page_analytic` and the numpy
-  :func:`~repro.fastpath.analytic.evaluate_pages_analytic` and demands
-  identical fold kwargs, value for value;
-* **event-run batching** — unit tests pin the simulator's homogeneous
-  run machinery to per-event dispatch semantics: run collection,
-  cancelled-member skipping, heap-head abort/requeue, and the
-  compaction-rebind regression (a cancellation storm inside a run used
-  to leave the order check reading a dead heap list).
+Hypothesis drives random :class:`PageSpec`s (including shapes the zipf
+population never generates, like zero-object pages) through both the
+scalar :func:`~repro.campaign.engine.evaluate_page_analytic` and the
+numpy :func:`~repro.fastpath.analytic.evaluate_pages_analytic` and
+demands identical fold kwargs, value for value.  The backend is scoped
+to those numpy kernels: packet-level trials run the same simulator
+code under either backend, down to the profiler's event counters.
 """
 
 import pytest
@@ -36,7 +29,6 @@ from repro.simkernel.randomstream import (
     CounterStream,
     counter_stream_seed,
 )
-from repro.simkernel.simulator import Simulator
 from repro.web.workload import PageSpec, PopulationConfig, PopulationWorkload
 
 
@@ -133,156 +125,22 @@ def test_counter_stream_seed_vectorization():
         assert int(vector[index]) == counter_stream_seed(base, index)
 
 
-# -- Event-run batching --------------------------------------------------
+# -- Backend scope -------------------------------------------------------
 
 
-class _Key:
-    """Batch key recording delivery order."""
+def test_packet_trials_are_backend_invariant(monkeypatch):
+    from repro.experiments.hotpath import profile_reference
 
-    def __init__(self, sim=None):
-        self.delivered = []
-        self._sim = sim
-
-    def deliver(self, payload):
-        self.delivered.append(payload)
-
-
-def test_batchable_events_run_without_batching():
-    # Batching off: batchable events dispatch one-by-one, same order.
-    sim = Simulator(batching=False)
-    key = _Key()
-    for index in range(5):
-        sim.schedule_batch(0.001 * index, key, index)
-    sim.run()
-    assert key.delivered == [0, 1, 2, 3, 4]
-    assert sim.batch_runs == 0 and sim.batched_events == 0
-
-
-def test_homogeneous_run_batches_and_counts():
-    sim = Simulator(batching=True)
-    key = _Key()
-    for index in range(5):
-        sim.schedule_batch(0.001, key, index)
-    sim.schedule(0.002, lambda: None)
-    sim.run()
-    assert key.delivered == [0, 1, 2, 3, 4]
-    assert sim.batch_runs == 1
-    assert sim.batched_events == 5
-    assert sim.events_executed == 6
-
-
-def test_run_aborts_when_member_schedules_earlier_event():
-    # The first delivery schedules a plain event that must fire before
-    # the rest of the run; the unexecuted suffix is requeued with its
-    # original keys and the global time/priority order is preserved.
-    sim = Simulator(batching=True)
-
-    class CallKey:
-        @staticmethod
-        def deliver(payload):
-            payload()
-
-    key = CallKey()
-    order = []
-
-    def first_payload():
-        order.append("first")
-        sim.schedule(0.0005, lambda: order.append("interleaved"))
-
-    sim.schedule_batch(0.001, key, first_payload)
-    sim.schedule_batch(0.002, key, lambda: order.append("second"))
-    sim.schedule_batch(0.002, key, lambda: order.append("third"))
-    sim.run()
-    assert order == ["first", "interleaved", "second", "third"]
-
-
-def test_cancelled_run_member_is_skipped():
-    # A member's callback cancels a later member mid-run: the cancelled
-    # event must not be delivered (and not requeued either).
-    sim = Simulator(batching=True)
-
-    class CallKey:
-        @staticmethod
-        def deliver(payload):
-            payload()
-
-    key = CallKey()
-    order = []
-    events = []
-
-    def cancel_third():
-        order.append("first")
-        events[2].cancel()
-
-    events.append(sim.schedule_batch(0.001, key, cancel_third))
-    events.append(
-        sim.schedule_batch(0.001, key, lambda: order.append("second"))
-    )
-    events.append(
-        sim.schedule_batch(0.001, key, lambda: order.append("third"))
-    )
-    sim.run()
-    assert order == ["first", "second"]
-    assert sim.pending_events == 0
-
-
-def test_run_survives_compaction_rebind():
-    # Regression: a cancellation storm inside a run member triggers
-    # EventQueue._compact(), which rebinds the heap list.  The run
-    # executor must re-read the heap for its order check — a stale
-    # reference made it compare against dead state and dispatch events
-    # out of order.
-    sim = Simulator(batching=True)
-
-    class CallKey:
-        @staticmethod
-        def deliver(payload):
-            payload()
-
-    key = CallKey()
-    order = []
-    victims = []
-
-    def cancel_storm():
-        order.append("storm")
-        for event in victims:
-            event.cancel()
-        # Schedule something earlier than the remaining run members so
-        # the (post-compaction) order check must fire.
-        sim.schedule(0.0005, lambda: order.append("interleaved"))
-
-    # A large cancelled population forces compaction when the storm
-    # cancels them (compaction triggers when cancelled > half).
-    for index in range(64):
-        victims.append(sim.schedule(0.010, lambda: order.append("victim")))
-    sim.schedule_batch(0.001, key, cancel_storm)
-    sim.schedule_batch(0.002, key, lambda: order.append("late"))
-    sim.run()
-    assert order == ["storm", "interleaved", "late"]
-
-
-def test_timer_batching_preserves_cancellation(monkeypatch):
-    # Timers under the fast backend go through the shared run key;
-    # restarting and cancelling must behave exactly as per-event.
-    from repro.simkernel.timers import Timer
-
-    sim = Simulator(batching=True)
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now), name="rto")
-    timer.start(0.5)
-    timer.start(1.0)  # restart supersedes the first deadline
-    other = Timer(sim, lambda: fired.append(-1.0))
-    other.start(1.0)
-    other.cancel()
-    sim.run()
-    assert fired == [1.0]
-    assert not timer.armed
-
-
-def test_simulator_resolves_backend_from_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "fast")
-    assert Simulator().batching is True
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    assert Simulator().batching is False
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert Simulator().batching is False
+    counters = {}
+    for backend in ("python", "fast"):
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        profiler, _ = profile_reference()
+        counters[backend] = {
+            # HPACK cache hit counts depend on what earlier trials in
+            # this process warmed, not on the backend.
+            name: value
+            for name, value in profiler.snapshot()["counters"].items()
+            if not name.startswith("hpack.")
+        }
+    assert counters["fast"] == counters["python"]
+    assert counters["python"]["sim.events"] > 0

@@ -75,6 +75,44 @@ def test_nested_scheduling_from_callbacks(sim):
     assert sim.now == 1.5
 
 
+def test_callback_cancelling_same_instant_event_skips_it(sim):
+    order = []
+    events = []
+
+    def cancel_third():
+        order.append("first")
+        events[2].cancel()
+
+    events.append(sim.schedule(0.001, cancel_third))
+    events.append(sim.schedule(0.001, lambda: order.append("second")))
+    events.append(sim.schedule(0.001, lambda: order.append("third")))
+    sim.run()
+    assert order == ["first", "second"]
+    assert sim.pending_events == 0
+
+
+def test_compaction_inside_callback_keeps_dispatch_order(sim):
+    # A cancellation storm inside a callback compacts the heap, which
+    # rebinds the queue's heap list; an event scheduled after the
+    # compaction must still fire before the later pending one.
+    order = []
+    victims = [
+        sim.schedule(0.010, lambda: order.append("victim")) for _ in range(64)
+    ]
+
+    def cancel_storm():
+        order.append("storm")
+        for event in victims:
+            event.cancel()
+        sim.schedule(0.0005, lambda: order.append("interleaved"))
+
+    sim.schedule(0.001, cancel_storm)
+    sim.schedule(0.002, lambda: order.append("late"))
+    sim.run()
+    assert order == ["storm", "interleaved", "late"]
+    assert sim.pending_events == 0
+
+
 def test_call_soon_runs_at_current_time(sim):
     times = []
     sim.schedule(1.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
