@@ -3,9 +3,10 @@
 The paper's study covers ≈500 volunteers; this package scales the same
 question — how often does the §V attack succeed? — to synthetic
 populations of 10⁵–10⁷ pages.  See :mod:`repro.campaign.engine` for the
-shard → worker → trial hierarchy and
-:mod:`repro.campaign.columnar` for the streaming columnar aggregation
-that keeps peak memory independent of the session count.
+shard → worker → trial hierarchy and the one sharded runner (which
+``repro infer`` runs on too), and :mod:`repro.campaign.columnar` for
+the streaming columnar aggregation that keeps peak memory independent
+of the session count.
 
 Run one from the CLI::
 
@@ -18,6 +19,7 @@ from repro.campaign.engine import (
     CampaignConfig,
     CampaignError,
     CampaignResult,
+    ShardedConfig,
     ShardTask,
     checkpoint_path,
     run_campaign,
@@ -40,6 +42,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "MANIFEST_VERSION",
     "ShardTask",
+    "ShardedConfig",
     "build_manifest",
     "checkpoint_path",
     "merge_summaries",

@@ -294,16 +294,19 @@ class ColumnarSummary:
         return f"ColumnarSummary(sessions={self.sessions})"
 
 
-def merge_summaries(
-    summaries: Iterable[ColumnarSummary],
-) -> ColumnarSummary:
+def merge_summaries(summaries: Iterable[Any], total: Any = None) -> Any:
     """Streaming left fold of shard summaries into one total.
 
     Merging is exactly associative (integer columns), so any grouping
     yields the same result; callers still merge in shard-index order by
-    convention to make the reduction obviously canonical.
+    convention to make the reduction obviously canonical.  ``total`` is
+    the empty summary to fold into (default: a fresh
+    :class:`ColumnarSummary`); any summary type with an in-place
+    ``merge`` works, which is how the campaign runner folds every
+    config's shards.
     """
-    total = ColumnarSummary()
+    if total is None:
+        total = ColumnarSummary()
     for summary in summaries:
         total.merge(summary)
     return total

@@ -20,6 +20,15 @@ columnar summary (plain integers) streams to disk, and a re-run of the
 same campaign — the checkpoint file name is derived from the campaign
 config — skips completed shards and merges to a bit-identical result.
 
+:func:`run_campaign` is the repository's one sharded runner.  It drives
+any config that mixes in :class:`ShardedConfig` — :class:`CampaignConfig`
+here, :class:`~repro.infer.campaign.InferCampaignConfig` for the
+size-inference frontier — so supervision, checkpoints, retry backoff,
+resume and quarantine accounting, partial coverage,
+:class:`CampaignError` and the failure manifest exist once.  A config
+contributes only its shard fold, its summary type and the bodies of its
+report.
+
 Two session engines:
 
 * ``analytic`` (default) — evaluates the §V size-identification attack
@@ -38,9 +47,9 @@ Two session engines:
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -53,6 +62,7 @@ from repro.core.predictor import (
 from repro.experiments.executor import (
     FaultTolerance,
     TrialError,
+    TrialExecutionError,
     TrialExecutor,
     heartbeat,
 )
@@ -122,8 +132,54 @@ class AnalyticModel:
         )
 
 
+class ShardedConfig:
+    """What :func:`run_campaign` needs of a config, geometry written once.
+
+    Mixed into frozen dataclasses with ``sessions``, ``shard_size`` and
+    ``seed`` fields.  Shard geometry and the digest live here; each
+    config adds its engine:
+
+    * ``checkpoint_prefix`` — the checkpoint file-name prefix;
+    * ``summary_type`` — the shard summary class, with ``from_json``,
+      an in-place ``merge`` and ``digest``;
+    * ``shard_task(backend)`` — a picklable task mapping a shard index
+      to its summary's JSON;
+    * ``result_json(result)`` / ``render_result(result)`` — the bodies
+      of :meth:`CampaignResult.to_json` and :meth:`CampaignResult.render`;
+    * ``empty_summary()`` when ``summary_type()`` cannot build the
+      zero-session summary unaided.
+    """
+
+    def _check_geometry(self) -> None:
+        if self.sessions < 1:
+            raise ValueError("sessions must be >= 1")
+        if self.shard_size < 1:
+            raise ValueError("shard_size must be >= 1")
+
+    @property
+    def shard_count(self) -> int:
+        return -(-self.sessions // self.shard_size)
+
+    def shard_range(self, shard: int) -> range:
+        """Session indices of one shard."""
+        start = shard * self.shard_size
+        return range(start, min(start + self.shard_size, self.sessions))
+
+    def digest(self) -> str:
+        """Stable digest of the config — the checkpoint file identity.
+
+        Config dataclasses hold only ints/floats/strings/tuples, whose
+        reprs are deterministic across processes and runs.
+        """
+        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:12]
+
+    def empty_summary(self):
+        """The merge identity: a summary of zero sessions."""
+        return self.summary_type()
+
+
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(ShardedConfig):
     """Parameters of one campaign run (picklable, fully deterministic).
 
     Attributes:
@@ -151,13 +207,13 @@ class CampaignConfig:
     horizon: float = 40.0
     transport: str = "tcp"
 
+    checkpoint_prefix = "campaign"
+    summary_type = ColumnarSummary
+
     def __post_init__(self) -> None:
         from repro.transport import TRANSPORTS
 
-        if self.sessions < 1:
-            raise ValueError("sessions must be >= 1")
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
+        self._check_geometry()
         if self.mode not in MODES:
             raise ValueError(
                 f"unknown campaign mode {self.mode!r}; expected one of {MODES}"
@@ -173,22 +229,58 @@ class CampaignConfig:
                 f"for transport {self.transport!r}"
             )
 
-    @property
-    def shard_count(self) -> int:
-        return math.ceil(self.sessions / self.shard_size)
+    def shard_task(self, backend: str) -> "ShardTask":
+        return ShardTask(self, backend=backend)
 
-    def shard_range(self, shard: int) -> range:
-        """Session indices of one shard."""
-        start = shard * self.shard_size
-        return range(start, min(start + self.shard_size, self.sessions))
+    def result_json(self, result: "CampaignResult") -> Dict[str, Any]:
+        summary = result.summary
+        return {
+            "campaign": {
+                "sessions": self.sessions,
+                "shard_size": self.shard_size,
+                "shards": result.shards,
+                "seed": self.seed,
+                "mode": self.mode,
+                "config_digest": self.digest(),
+            },
+            "summary": summary.to_json(),
+            "digest": summary.digest(),
+            "rates": {
+                "serialized": round(summary.rate("serialized"), 6),
+                "identified": round(summary.rate("identified"), 6),
+                "succeeded": round(summary.rate("succeeded"), 6),
+                "ambiguous": round(summary.rate("ambiguous"), 6),
+            },
+        }
 
-    def digest(self) -> str:
-        """Stable digest of the config — the checkpoint file identity.
-
-        Config dataclasses hold only ints/floats/strings/tuples, whose
-        reprs are deterministic across processes and runs.
-        """
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:12]
+    def render_result(self, result: "CampaignResult") -> str:
+        summary = result.summary
+        rows = [
+            ["sessions", f"{summary.sessions}"],
+            ["shards", f"{result.shards} × {self.shard_size}"],
+            ["mode", self.mode],
+            ["population seed", f"{self.seed}"],
+            ["objects/page (mean)", f"{summary.mean('objects'):.1f}"],
+            [
+                "objects/page (min–max)",
+                f"{summary.mins.get('objects', 0)}–"
+                f"{summary.maxs.get('objects', 0)}",
+            ],
+            ["page weight (mean)", f"{summary.mean('page_bytes'):,.0f} B"],
+            ["target serialized", f"{100.0 * summary.rate('serialized'):.1f}%"],
+            ["target identified", f"{100.0 * summary.rate('identified'):.1f}%"],
+            ["attack success", f"{100.0 * summary.rate('succeeded'):.1f}%"],
+            ["ambiguous pages", f"{100.0 * summary.rate('ambiguous'):.1f}%"],
+            ["summary digest", summary.digest()[:16]],
+        ]
+        rows.extend(result.coverage_rows())
+        return format_table(
+            ["campaign", "value"], rows,
+            title=(
+                "Campaign — population-scale attack statistics "
+                "(streaming columnar fold)"
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +516,7 @@ class ShardTask:
 
 
 class CampaignError(RuntimeError):
-    """A shard exhausted its retries; the campaign total would be wrong.
+    """A shard exhausted its retries; the merged total would be wrong.
 
     Raised only when ``allow_partial`` is off.  ``errors`` carries the
     structured per-shard records (kind, attempts, history) and
@@ -448,18 +540,20 @@ class CampaignError(RuntimeError):
 
 @dataclass
 class CampaignResult:
-    """Merged campaign output plus run metadata.
+    """Merged output of a sharded run plus run metadata.
 
-    A result is *partial* when ``errors`` is non-empty (only possible
-    with ``allow_partial=True``): the summary then covers exactly the
+    One result type serves every :class:`ShardedConfig`; the config
+    supplies the bodies of :meth:`to_json` and :meth:`render`.  A result
+    is *partial* when ``errors`` is non-empty (only possible with
+    ``allow_partial=True``): the summary then covers exactly the
     completed shards, and the coverage accounting — completed vs failed
     vs deadline-skipped shards, sessions covered — is part of the JSON
-    and the rendered table.  A full-coverage result serializes byte-for-
-    byte as before, so goldens never see the degraded fields.
+    and the rendered report.  A full-coverage result serializes
+    byte-for-byte as before, so goldens never see the degraded fields.
     """
 
-    config: CampaignConfig
-    summary: ColumnarSummary
+    config: ShardedConfig
+    summary: Any
     shards: int
     workers: int
     resumed_shards: int = 0
@@ -512,97 +606,57 @@ class CampaignResult:
             "shards": sorted(e.trial for e in self.errors),
         }
 
+    def coverage_rows(self) -> List[List[str]]:
+        """Report rows accounting for a partial result (none otherwise)."""
+        if not self.partial:
+            return []
+        covered = self.sessions_covered
+        sessions = self.config.sessions
+        return [
+            [
+                "coverage (PARTIAL)",
+                f"{covered}/{sessions} sessions "
+                f"({100.0 * covered / sessions:.1f}%)",
+            ],
+            [
+                "failed shards",
+                ", ".join(str(e.trial) for e in self.failed_shards) or "—",
+            ],
+            [
+                "skipped shards (deadline)",
+                ", ".join(str(e.trial) for e in self.skipped_shards) or "—",
+            ],
+        ]
+
     def to_json(self) -> Dict[str, Any]:
         """Deterministic JSON (no wall-clock state; safe to diff).
 
         The ``coverage`` block appears only on a partial result, so a
         clean default-path run's bytes are unchanged.
         """
-        summary = self.summary
-        payload = {
-            "campaign": {
-                "sessions": self.config.sessions,
-                "shard_size": self.config.shard_size,
-                "shards": self.shards,
-                "seed": self.config.seed,
-                "mode": self.config.mode,
-                "config_digest": self.config.digest(),
-            },
-            "summary": summary.to_json(),
-            "digest": summary.digest(),
-            "rates": {
-                "serialized": round(summary.rate("serialized"), 6),
-                "identified": round(summary.rate("identified"), 6),
-                "succeeded": round(summary.rate("succeeded"), 6),
-                "ambiguous": round(summary.rate("ambiguous"), 6),
-            },
-        }
+        payload = self.config.result_json(self)
         if self.partial:
             payload["coverage"] = self.coverage()
         return payload
 
     def render(self) -> str:
-        """The campaign report table (deterministic stdout).
+        """The report (deterministic stdout).
 
-        Coverage rows are appended only when the result is partial —
-        the full-coverage table is byte-identical to the golden form.
+        Configs place :meth:`coverage_rows` in their report, so only a
+        partial result shows coverage.
         """
-        summary = self.summary
-        sessions = summary.sessions
-        rows = [
-            ["sessions", f"{sessions}"],
-            ["shards", f"{self.shards} × {self.config.shard_size}"],
-            ["mode", self.config.mode],
-            ["population seed", f"{self.config.seed}"],
-            ["objects/page (mean)", f"{summary.mean('objects'):.1f}"],
-            [
-                "objects/page (min–max)",
-                f"{summary.mins.get('objects', 0)}–"
-                f"{summary.maxs.get('objects', 0)}",
-            ],
-            ["page weight (mean)", f"{summary.mean('page_bytes'):,.0f} B"],
-            ["target serialized", f"{100.0 * summary.rate('serialized'):.1f}%"],
-            ["target identified", f"{100.0 * summary.rate('identified'):.1f}%"],
-            ["attack success", f"{100.0 * summary.rate('succeeded'):.1f}%"],
-            ["ambiguous pages", f"{100.0 * summary.rate('ambiguous'):.1f}%"],
-            ["summary digest", summary.digest()[:16]],
-        ]
-        if self.partial:
-            covered = self.sessions_covered
-            rows.extend([
-                [
-                    "coverage (PARTIAL)",
-                    f"{covered}/{self.config.sessions} sessions "
-                    f"({100.0 * covered / self.config.sessions:.1f}%)",
-                ],
-                [
-                    "failed shards",
-                    ", ".join(str(e.trial) for e in self.failed_shards)
-                    or "—",
-                ],
-                [
-                    "skipped shards (deadline)",
-                    ", ".join(str(e.trial) for e in self.skipped_shards)
-                    or "—",
-                ],
-            ])
-        return format_table(
-            ["campaign", "value"], rows,
-            title=(
-                "Campaign — population-scale attack statistics "
-                "(streaming columnar fold)"
-            ),
-        )
+        return self.config.render_result(self)
 
 
-def checkpoint_path(config: CampaignConfig, checkpoint_dir: str) -> str:
-    """The campaign's shard-checkpoint file inside ``checkpoint_dir``.
+def checkpoint_path(config: ShardedConfig, checkpoint_dir: str) -> str:
+    """The run's shard-checkpoint file inside ``checkpoint_dir``.
 
-    Derived from the config digest, so re-running the same campaign
-    resumes its own file and a different campaign never collides.
+    Named ``<checkpoint_prefix>-<config digest>.json``, so re-running
+    the same config resumes its own file and a different config never
+    collides.
     """
     return os.path.join(
-        checkpoint_dir, f"campaign-{config.digest()}.json"
+        checkpoint_dir, f"{config.checkpoint_prefix}-{config.digest()}.json"
     )
 
 
@@ -612,7 +666,7 @@ DEFAULT_BACKOFF_BASE = 0.05
 
 
 def run_campaign(
-    config: CampaignConfig,
+    config: ShardedConfig,
     workers: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     retries: int = 1,
@@ -623,27 +677,40 @@ def run_campaign(
     failure_manifest: Optional[str] = None,
     shard_task: Optional[Callable[[int], Dict[str, Any]]] = None,
 ) -> CampaignResult:
-    """Run (or resume) a campaign under supervision and merge its shards.
+    """Run (or resume) a sharded config and merge its shards.
+
+    Supervision is on only when asked for — by ``checkpoint_dir``,
+    ``allow_partial``, ``deadline``, ``heartbeat_timeout`` or
+    ``failure_manifest``.  A supervised run retries failed shards and
+    records structured per-shard errors; with ``workers > 1`` it spawns
+    one process per shard.  An unsupervised run keeps the executor's
+    pooled path: one attempt per shard, and the first failure stops the
+    run with a :class:`CampaignError`.
 
     Args:
-        config: the campaign parameters.
+        config: what to run — a :class:`CampaignConfig`, an
+            :class:`~repro.infer.campaign.InferCampaignConfig`, or any
+            other :class:`ShardedConfig`.
         workers: worker processes for shard execution (argument →
             ``REPRO_WORKERS`` → 1, like every experiment).
         checkpoint_dir: when set, completed shard summaries stream into
-            a JSON checkpoint there and a re-run with the same config
-            resumes from it; the merged output is bit-identical whether
-            or not the run was interrupted.  A corrupted, truncated or
-            foreign checkpoint found on resume is quarantined to a
-            ``.corrupt`` sidecar and its shards recomputed cleanly.
-        retries: same-seed retries per failed shard.
+            a JSON checkpoint there (:func:`checkpoint_path`) and a
+            re-run with the same config resumes from it; the merged
+            output is bit-identical whether or not the run was
+            interrupted.  A corrupted, truncated or foreign checkpoint
+            found on resume is quarantined to a ``.corrupt`` sidecar
+            and its shards recomputed cleanly.
+        retries: same-seed retries per failed shard (supervised runs
+            only).
         backend: execution strategy (argument → ``REPRO_BACKEND`` →
-            ``python``).  ``fast`` runs analytic shards through the
-            numpy batch kernel; results are bit-identical either way,
-            so checkpoints are shareable across backends.
+            ``python``), passed to ``config.shard_task``.  ``fast`` runs
+            analytic campaign shards through the numpy batch kernel;
+            results are bit-identical either way, so checkpoints are
+            shareable across backends.
         allow_partial: instead of raising :class:`CampaignError` when
             shards exhaust their retries, return a partial
             :class:`CampaignResult` with explicit coverage accounting.
-        deadline: wall-clock budget in seconds for the whole campaign;
+        deadline: wall-clock budget in seconds for the whole run;
             shards unfinished at expiry are recorded as skipped
             (``kind="deadline"``), never persisted, so a later resume
             completes them.
@@ -651,19 +718,20 @@ def run_campaign(
             silent for longer than this is killed and retried.
         failure_manifest: when set, a machine-readable JSON manifest
             (see :mod:`repro.campaign.supervisor`) is written there on
-            *every* supervised outcome — complete, partial or failed —
-            with per-shard attempt history and quarantine records.
-        shard_task: chaos-injection hook — replaces the default
-            :class:`ShardTask`; must compute bit-identical summaries
-            (the chaos harness wraps the real task with fault triggers).
+            every outcome — complete, partial or failed — with
+            per-shard attempt history and quarantine records.
+        shard_task: chaos-injection hook — replaces
+            ``config.shard_task(backend)``; must compute bit-identical
+            summaries (the chaos harness wraps the real task with fault
+            triggers).
 
     Returns:
         The merged :class:`CampaignResult` (partial only with
         ``allow_partial=True``).
 
     Raises:
-        CampaignError: when a shard exhausted its retries and
-            ``allow_partial`` is off.
+        CampaignError: when a shard failed (after its retries, when
+            supervised) and ``allow_partial`` is off.
     """
     from repro.campaign import supervisor
 
@@ -672,32 +740,20 @@ def run_campaign(
     executor = TrialExecutor(workers=workers)
     task = (
         shard_task if shard_task is not None
-        else ShardTask(config, backend=resolved_backend)
-    )
-    supervised = (
-        bool(checkpoint_dir) or allow_partial or deadline is not None
-        or heartbeat_timeout is not None
+        else config.shard_task(resolved_backend)
     )
     fault_tolerance = None
-    resumed = 0
-    quarantined: List[str] = []
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        path = checkpoint_path(config, checkpoint_dir)
-        if os.path.exists(path):
-            from repro.experiments.executor import Checkpoint
-
-            existing = Checkpoint(path, config_digest=config.digest())
-            resumed = len(existing)
-            if existing.quarantined:
-                quarantined.append(existing.quarantined)
-    if supervised:
+    if (
+        checkpoint_dir or allow_partial or deadline is not None
+        or heartbeat_timeout is not None or failure_manifest
+    ):
+        path = None
+        if checkpoint_dir:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+            path = checkpoint_path(config, checkpoint_dir)
         fault_tolerance = FaultTolerance(
             retries=retries,
-            checkpoint_path=(
-                checkpoint_path(config, checkpoint_dir)
-                if checkpoint_dir else None
-            ),
+            checkpoint_path=path,
             checkpoint_every=1,
             checkpoint_digest=config.digest(),
             deadline=deadline,
@@ -705,15 +761,28 @@ def run_campaign(
             backoff_base=DEFAULT_BACKOFF_BASE,
             backoff_seed=config.digest(),
         )
-    outcomes = executor.map_trials(
-        config.shard_count, task, fault_tolerance=fault_tolerance
-    )
+    try:
+        outcomes = executor.map_trials(
+            config.shard_count, task, fault_tolerance=fault_tolerance
+        )
+    except TrialExecutionError as error:
+        # Unsupervised: the first failing shard aborts the map after one
+        # attempt; report it like any other shard failure.
+        raise CampaignError([
+            TrialError(
+                trial=error.trial,
+                attempts=1,
+                error=error.details,
+                traceback=traceback.format_exc(),
+            )
+        ]) from error
     errors = [item for item in outcomes if isinstance(item, TrialError)]
     checkpoint = executor.last_checkpoint
-    write_error = checkpoint.write_error if checkpoint is not None else None
-    if checkpoint is not None and checkpoint.quarantined:
-        if checkpoint.quarantined not in quarantined:
-            quarantined.append(checkpoint.quarantined)
+    resumed = checkpoint.loaded if checkpoint is not None else 0
+    quarantined = (
+        [checkpoint.quarantined]
+        if checkpoint is not None and checkpoint.quarantined else []
+    )
 
     manifest_path = None
     if failure_manifest:
@@ -725,7 +794,9 @@ def run_campaign(
             config, errors,
             status=status,
             quarantined=quarantined,
-            checkpoint_write_error=write_error,
+            checkpoint_write_error=(
+                checkpoint.write_error if checkpoint is not None else None
+            ),
             elapsed_s=time.perf_counter() - started,
             workers=executor.workers,
             resumed_shards=resumed,
@@ -738,9 +809,12 @@ def run_campaign(
     # map_trials returns in shard-index order, so this left fold is the
     # canonical merge order regardless of which worker finished first.
     summary = merge_summaries(
-        ColumnarSummary.from_json(payload)
-        for payload in outcomes
-        if not isinstance(payload, TrialError)
+        (
+            config.summary_type.from_json(payload)
+            for payload in outcomes
+            if not isinstance(payload, TrialError)
+        ),
+        total=config.empty_summary(),
     )
     return CampaignResult(
         config=config,

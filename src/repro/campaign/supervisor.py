@@ -1,9 +1,9 @@
 """Campaign supervision artifacts: failure manifests and error tables.
 
-A degraded campaign must be *accountable*: which shards completed,
-which failed and why, what was quarantined, and exactly which sessions
-the partial result covers.  This module owns the two machine/human
-interfaces for that accounting:
+A degraded sharded run (``repro campaign`` or ``repro infer``) must be
+*accountable*: which shards completed, which failed and why, what was
+quarantined, and exactly which sessions the partial result covers.
+This module owns the two machine/human interfaces for that accounting:
 
 * the **failure manifest** — a machine-readable JSON document
   (:data:`MANIFEST_SCHEMA`) written by ``run_campaign(...,
@@ -11,7 +11,11 @@ interfaces for that accounting:
   with per-shard attempt history, tracebacks, error taxonomy, session
   coverage and quarantined-checkpoint records;
 * the **shard error table** — the concise per-shard stderr rendering
-  the CLI prints instead of a raw traceback when a campaign fails.
+  the CLI prints instead of a raw traceback when a run fails.
+
+Both read only the :class:`~repro.campaign.engine.ShardedConfig`
+protocol (digest, seed and shard geometry), so they serve every config
+the runner accepts.
 
 The manifest deliberately allows wall-clock fields (``elapsed_s``,
 attempt timings): it is a diagnostic artifact, never an input to the
@@ -29,7 +33,7 @@ from repro.experiments.executor import ERROR_KINDS, TrialError
 from repro.experiments.report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.campaign.engine import CampaignConfig
+    from repro.campaign.engine import ShardedConfig
 
 #: Manifest format version; bump on breaking schema changes.
 MANIFEST_VERSION = 1
@@ -54,7 +58,7 @@ STATUSES = ("complete", "partial", "failed")
 
 
 def shard_error_record(
-    config: "CampaignConfig", error: TrialError
+    config: "ShardedConfig", error: TrialError
 ) -> Dict[str, Any]:
     """One manifest entry for a failed/skipped shard."""
     span = config.shard_range(error.trial)
@@ -70,7 +74,7 @@ def shard_error_record(
 
 
 def build_manifest(
-    config: "CampaignConfig",
+    config: "ShardedConfig",
     errors: Sequence[TrialError],
     *,
     status: str,
@@ -80,7 +84,7 @@ def build_manifest(
     workers: int = 1,
     resumed_shards: int = 0,
 ) -> Dict[str, Any]:
-    """Assemble the failure-manifest payload for one campaign run."""
+    """Assemble the failure-manifest payload for one sharded run."""
     if status not in STATUSES:
         raise ValueError(f"unknown manifest status {status!r}")
     failed = [e for e in errors if e.kind != "deadline"]
@@ -98,7 +102,6 @@ def build_manifest(
             "shard_size": config.shard_size,
             "shards": config.shard_count,
             "seed": config.seed,
-            "mode": config.mode,
         },
         "coverage": {
             "completed_shards": config.shard_count - len(errors),
@@ -190,7 +193,7 @@ def validate_manifest(payload: Any) -> None:
 
 
 def render_shard_errors(
-    config: "CampaignConfig", errors: Sequence[TrialError]
+    config: "ShardedConfig", errors: Sequence[TrialError]
 ) -> str:
     """The concise per-shard error table the CLI prints to stderr."""
     rows: List[List[str]] = []

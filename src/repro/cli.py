@@ -479,11 +479,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             trials=args.trials, workers=args.workers, design=design,
         ).render())
     elif args.experiment == "infer":
-        return _run_infer(args)
+        return _run_campaign(args, _infer_config)
     elif args.experiment == "robustness-study":
         return _run_robustness_study(args, workers)
     elif args.experiment == "campaign":
-        return _run_campaign(args)
+        return _run_campaign(args, _campaign_config)
     elif args.experiment == "profile":
         from repro.experiments.hotpath import profile_reference
         _, report = profile_reference(seed=args.seed)
@@ -566,29 +566,12 @@ def _run_robustness_study(args, workers) -> int:
     return 0
 
 
-def _run_campaign(args) -> int:
-    """``repro campaign``: the sharded population-scale campaign engine.
-
-    Stdout (the report table) and ``--json`` output are deterministic —
-    seeded sessions, integer columnar folds, canonical merge order — so
-    they diff clean across worker counts and kill/resume.  Wall-clock
-    throughput and peak memory go to stderr only.
-
-    Exit codes: 0 full coverage, 1 failed (per-shard error table on
-    stderr), 2 bad arguments, 3 partial coverage (``--allow-partial``).
-    """
+def _campaign_config(args):
+    """``repro campaign``'s config from CLI flags (may raise ValueError)."""
     import dataclasses
-    import json as json_module
-    import time
 
-    from repro import profiling
-    from repro.campaign import (
-        AnalyticModel,
-        CampaignConfig,
-        CampaignError,
-        render_shard_errors,
-        run_campaign,
-    )
+    from repro.campaign import AnalyticModel, CampaignConfig
+    from repro.transport import resolve_transport
     from repro.web.workload import PopulationConfig
 
     population_overrides = {}
@@ -598,23 +581,52 @@ def _run_campaign(args) -> int:
         population_overrides["count_exponent"] = args.count_exponent
     if args.size_exponent is not None:
         population_overrides["size_exponent"] = args.size_exponent
-    try:
-        population = dataclasses.replace(
-            PopulationConfig(), **population_overrides
-        )
-        from repro.transport import resolve_transport
+    population = dataclasses.replace(
+        PopulationConfig(), **population_overrides
+    )
+    return CampaignConfig(
+        sessions=args.sessions if args.sessions is not None else 100_000,
+        shard_size=args.shard_size if args.shard_size is not None else 2_000,
+        seed=args.seed,
+        mode=args.mode or "analytic",
+        population=population,
+        model=AnalyticModel(),
+        transport=resolve_transport(args.transport),
+    )
 
-        config = CampaignConfig(
-            sessions=args.sessions if args.sessions is not None else 100_000,
-            shard_size=(
-                args.shard_size if args.shard_size is not None else 2_000
-            ),
-            seed=args.seed,
-            mode=args.mode or "analytic",
-            population=population,
-            model=AnalyticModel(),
-            transport=resolve_transport(args.transport),
-        )
+
+def _infer_config(args):
+    """``repro infer``'s config from CLI flags (may raise ValueError)."""
+    from repro.infer.campaign import InferCampaignConfig
+
+    return InferCampaignConfig(
+        sessions=args.sessions if args.sessions is not None else 2_000,
+        shard_size=args.shard_size if args.shard_size is not None else 250,
+        seed=args.seed,
+        **_infer_overrides(args),
+    )
+
+
+def _run_campaign(args, build_config) -> int:
+    """``repro campaign`` and ``repro infer``: one sharded run.
+
+    ``build_config`` turns the flags into the command's config.  Stdout
+    (the report) and ``--json`` output are deterministic — seeded
+    sessions, integer folds, canonical merge order — so they diff clean
+    across worker counts and kill/resume.  Wall-clock throughput, resume
+    history and peak memory go to stderr only.
+
+    Exit codes: 0 full coverage, 1 failed (per-shard error table on
+    stderr), 2 bad arguments, 3 partial coverage (``--allow-partial``).
+    """
+    import json as json_module
+    import time
+
+    from repro import profiling
+    from repro.campaign import CampaignError, render_shard_errors, run_campaign
+
+    try:
+        config = build_config(args)
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
@@ -644,9 +656,10 @@ def _run_campaign(args) -> int:
             json_module.dump(result.to_json(), handle, indent=2,
                              sort_keys=True)
             handle.write("\n")
-    rate = result.summary.sessions / elapsed if elapsed > 0 else 0.0
+    sessions = result.sessions_covered
+    rate = sessions / elapsed if elapsed > 0 else 0.0
     print(
-        f"repro campaign: {result.summary.sessions} sessions in "
+        f"repro {args.experiment}: {sessions} sessions in "
         f"{elapsed:.1f}s ({rate:,.0f}/s), {result.shards} shards, "
         f"{result.backend} backend, {result.workers} worker(s), "
         f"{result.resumed_shards} shard(s) resumed, peak RSS "
@@ -654,9 +667,8 @@ def _run_campaign(args) -> int:
         file=sys.stderr,
     )
     if result.partial:
-        covered = result.sessions_covered
         note = (
-            f"repro: warning: PARTIAL coverage — {covered}/"
+            f"repro: warning: PARTIAL coverage — {sessions}/"
             f"{config.sessions} sessions, "
             f"{len(result.failed_shards)} failed and "
             f"{len(result.skipped_shards)} deadline-skipped shard(s)"
@@ -692,69 +704,6 @@ def _infer_design(args):
     from repro.infer.dataset import StudyDesign
 
     return StudyDesign(seed=args.seed, **_infer_overrides(args))
-
-
-def _run_infer(args) -> int:
-    """``repro infer``: the accuracy/overhead frontier at campaign scale.
-
-    Same determinism contract as ``repro campaign``: stdout (the
-    frontier table) and ``--json`` output are bit-identical across
-    worker counts and kill/resume; throughput and resume history go to
-    stderr only.  Exit codes: 0 complete, 1 shard failure, 2 bad
-    arguments.
-    """
-    import json as json_module
-    import time
-
-    from repro import profiling
-    from repro.infer.campaign import (
-        InferCampaignConfig,
-        InferCampaignError,
-        run_infer_campaign,
-    )
-
-    try:
-        config = InferCampaignConfig(
-            sessions=args.sessions if args.sessions is not None else 2_000,
-            shard_size=(
-                args.shard_size if args.shard_size is not None else 250
-            ),
-            seed=args.seed,
-            **_infer_overrides(args),
-        )
-        config.design()  # validates classifier names before workers start
-    except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
-        result = run_infer_campaign(
-            config,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-    except InferCampaignError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 1
-    except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    print(result.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
-            handle.write("\n")
-    rate = config.sessions / elapsed if elapsed > 0 else 0.0
-    print(
-        f"repro infer: {config.sessions} sessions in {elapsed:.1f}s "
-        f"({rate:,.0f}/s), {result.shards} shards, {result.workers} "
-        f"worker(s), {result.resumed_shards} shard(s) resumed, peak RSS "
-        f"{profiling.peak_rss_kb():,} KB",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def _run_chaos(args) -> int:

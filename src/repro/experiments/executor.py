@@ -490,6 +490,9 @@ class Checkpoint:
         self._dirty = 0
         if os.path.exists(path):
             self._load(path)
+        #: Results read back on open (0 after a quarantine): the trials
+        #: a resumed run skips.
+        self.loaded = len(self.results)
 
     # -- loading & quarantine -------------------------------------------
 

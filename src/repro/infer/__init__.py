@@ -17,8 +17,9 @@ This package builds both sides of that arms race:
   byte/latency overhead accounting;
 * :mod:`repro.infer.dataset` — the seeded observation model gluing the
   zipf page population to features under each defense level;
-* :mod:`repro.infer.campaign` — the frontier-at-scale mode on the
-  campaign executor (shards, checkpoints, kill-resume).
+* :mod:`repro.infer.campaign` — the frontier-at-scale mode, a config
+  for the campaign runner :func:`repro.campaign.engine.run_campaign`
+  (shards, checkpoints, supervision, kill-resume).
 
 Everything is integer/fixed-point end to end, so results are
 bit-identical across worker counts, backends and kill-resume — the same

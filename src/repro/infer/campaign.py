@@ -1,41 +1,43 @@
-"""Frontier-at-scale: the inference study on the campaign executor.
+"""Frontier-at-scale: the inference study on the campaign runner.
 
 ``repro infer`` evaluates the accuracy/overhead frontier over many
-zipf page-population sessions using the same shard → worker → session
-machinery as :mod:`repro.campaign.engine`: picklable shard tasks on
-:class:`~repro.experiments.executor.TrialExecutor`, integer summary
-folds that merge exactly at any split, config-digest-sealed shard
-checkpoints, and deterministic same-seed retries — so a SIGKILLed run
-resumes to a bit-identical frontier (the ``infer-smoke`` CI job pins
-that end to end).
+zipf page-population sessions.  :class:`InferCampaignConfig` is a
+:class:`~repro.campaign.engine.ShardedConfig`, so the run goes through
+:func:`repro.campaign.engine.run_campaign` itself — shards on the
+:class:`~repro.experiments.executor.TrialExecutor`, config-digest-sealed
+``infer-*`` checkpoints, deterministic same-seed retries, quarantine,
+partial coverage and failure manifests.  This module keeps only the
+shard fold (:class:`InferShardTask`, integer
+:class:`~repro.infer.summary.InferSummary` folds that merge exactly at
+any split) and the frontier report, so a SIGKILLed run resumes to a
+bit-identical frontier (``scripts/resume_smoke.py infer`` pins that end
+to end).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.experiments.executor import (
-    FaultTolerance,
-    TrialError,
-    TrialExecutor,
-    heartbeat,
-)
+from repro.campaign.engine import ShardedConfig, run_campaign
+from repro.experiments.executor import heartbeat
+from repro.experiments.report import format_table
 from repro.infer.classifiers import classifier_names
 from repro.infer.dataset import StudyDesign, evaluate_session
-from repro.infer.defenses import defense_level, defense_level_names
+from repro.infer.defenses import defense_level_names
 from repro.infer.summary import FORMAT, InferSummary
 
-#: Matches the campaign engine's deterministic retry backoff
-#: (``REPRO_BACKOFF`` overrides; tests/CI set 0).
-DEFAULT_BACKOFF_BASE = 0.05
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.campaign.engine import CampaignResult
 
 
 @dataclass(frozen=True)
-class InferCampaignConfig:
+class InferCampaignConfig(ShardedConfig):
     """Parameters of one at-scale frontier run.
+
+    Construction validates the whole study design (defense levels,
+    classifier names, ``reps``, ``max_objects``), so a bad value fails
+    here rather than in every shard.
 
     Attributes:
         sessions: page-population sessions evaluated.
@@ -54,19 +56,12 @@ class InferCampaignConfig:
     levels: tuple = defense_level_names()
     classifiers: tuple = classifier_names()
 
+    checkpoint_prefix = "infer"
+    summary_type = InferSummary
+
     def __post_init__(self) -> None:
-        if self.sessions < 1 or self.shard_size < 1:
-            raise ValueError("sessions and shard_size must be positive")
-        for name in self.levels:
-            defense_level(name)
-
-    @property
-    def shard_count(self) -> int:
-        return -(-self.sessions // self.shard_size)
-
-    def shard_range(self, shard: int) -> range:
-        start = shard * self.shard_size
-        return range(start, min(start + self.shard_size, self.sessions))
+        self._check_geometry()
+        self.design()
 
     def design(self) -> StudyDesign:
         return StudyDesign(
@@ -77,9 +72,37 @@ class InferCampaignConfig:
             classifiers=tuple(self.classifiers),
         )
 
-    def digest(self) -> str:
-        """Short config identity (seals checkpoints, like the campaign)."""
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:12]
+    def shard_task(self, backend: str) -> "InferShardTask":
+        # Feature extraction follows REPRO_BACKEND on its own (the CLI
+        # exports --backend); the result is bit-identical either way.
+        return InferShardTask(self)
+
+    def empty_summary(self) -> InferSummary:
+        return InferSummary(tuple(self.levels), tuple(self.classifiers))
+
+    def result_json(self, result: "CampaignResult") -> Dict[str, Any]:
+        return {
+            "format": FORMAT,
+            "config_digest": self.digest(),
+            "sessions": self.sessions,
+            "shards": result.shards,
+            "summary": result.summary.to_json(),
+            "summary_digest": result.summary.digest(),
+        }
+
+    def render_result(self, result: "CampaignResult") -> str:
+        from repro.experiments.infer_study import InferStudyResult
+
+        report = InferStudyResult(
+            design=self.design(), summary=result.summary
+        ).render()
+        coverage = result.coverage_rows()
+        if coverage:
+            report += "\n" + format_table(["coverage", "value"], coverage)
+        return (
+            report
+            + f"\nshards={result.shards} digest={result.summary.digest()[:12]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,105 +121,5 @@ class InferShardTask:
         return summary.to_json()
 
 
-class InferCampaignError(RuntimeError):
-    """A shard exhausted its retries; the frontier would be wrong."""
-
-    def __init__(self, errors: List[TrialError]) -> None:
-        shards = ", ".join(str(error.trial) for error in errors)
-        super().__init__(
-            f"{len(errors)} infer shard(s) failed after retries: {shards}"
-        )
-        self.errors = errors
-
-
-@dataclass
-class InferCampaignResult:
-    """Merged frontier plus run metadata."""
-
-    config: InferCampaignConfig
-    summary: InferSummary
-    shards: int
-    workers: int
-    resumed_shards: int = 0
-    errors: List[TrialError] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, Any]:
-        # Worker count and resume history are deliberately excluded:
-        # the JSON must be bit-identical however the run was executed.
-        return {
-            "format": FORMAT,
-            "config_digest": self.config.digest(),
-            "sessions": self.config.sessions,
-            "shards": self.shards,
-            "summary": self.summary.to_json(),
-            "summary_digest": self.summary.digest(),
-        }
-
-    def render(self) -> str:
-        from repro.experiments.infer_study import InferStudyResult
-
-        table = InferStudyResult(
-            design=self.config.design(), summary=self.summary
-        ).render()
-        # Resume/worker history stays off stdout (stderr in the CLI):
-        # the rendered frontier must diff clean across kill/resume.
-        return (
-            table
-            + f"\nshards={self.shards} digest={self.summary.digest()[:12]}"
-        )
-
-
-def checkpoint_path(config: InferCampaignConfig, checkpoint_dir: str) -> str:
-    """The run's shard-checkpoint file (config-digest-derived name)."""
-    return os.path.join(checkpoint_dir, f"infer-{config.digest()}.json")
-
-
-def run_infer_campaign(
-    config: InferCampaignConfig,
-    workers: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    retries: int = 1,
-) -> InferCampaignResult:
-    """Run (or resume) the frontier at scale and merge its shards.
-
-    Raises:
-        InferCampaignError: when a shard exhausted its retries.
-    """
-    executor = TrialExecutor(workers=workers)
-    task = InferShardTask(config)
-    fault_tolerance = None
-    resumed = 0
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        path = checkpoint_path(config, checkpoint_dir)
-        if os.path.exists(path):
-            from repro.experiments.executor import Checkpoint
-
-            resumed = len(Checkpoint(path, config_digest=config.digest()))
-        fault_tolerance = FaultTolerance(
-            retries=retries,
-            checkpoint_path=path,
-            checkpoint_every=1,
-            checkpoint_digest=config.digest(),
-            backoff_base=DEFAULT_BACKOFF_BASE,
-            backoff_seed=config.digest(),
-        )
-    outcomes = executor.map_trials(
-        config.shard_count, task, fault_tolerance=fault_tolerance
-    )
-    errors = [item for item in outcomes if isinstance(item, TrialError)]
-    if errors:
-        raise InferCampaignError(errors)
-    design = config.design()
-    summary = InferSummary(design.levels, design.classifiers)
-    # map_trials returns in shard order: the left fold below is the
-    # canonical merge order at any worker count.
-    for payload in outcomes:
-        summary.merge(InferSummary.from_json(payload))
-    return InferCampaignResult(
-        config=config,
-        summary=summary,
-        shards=config.shard_count,
-        workers=executor.workers,
-        resumed_shards=resumed,
-    )
+#: ``repro infer``'s runner: the campaign runner itself.
+run_infer_campaign = run_campaign

@@ -14,12 +14,11 @@ import pickle
 
 import pytest
 
+from repro.campaign.engine import checkpoint_path
 from repro.experiments import infer_study
 from repro.infer.campaign import (
     InferCampaignConfig,
-    InferCampaignError,
     InferShardTask,
-    checkpoint_path,
     run_infer_campaign,
 )
 from repro.infer.dataset import StudyDesign, evaluate_session
@@ -168,24 +167,15 @@ def test_campaign_checkpoint_resume_is_bit_identical(tmp_path):
     assert resumed.render() == fresh.render()
 
 
-def test_campaign_failure_raises_with_shard_names(tmp_path):
-    class Boom(InferShardTask):
-        def __call__(self, shard):
-            raise RuntimeError("shard exploded")
-
-    from repro.experiments.executor import FaultTolerance, TrialExecutor
-
-    executor = TrialExecutor(workers=1)
-    outcomes = executor.map_trials(
-        2, Boom(CAMPAIGN),
-        fault_tolerance=FaultTolerance(retries=0),
-    )
-    from repro.experiments.executor import TrialError
-
-    errors = [item for item in outcomes if isinstance(item, TrialError)]
-    assert errors
-    with pytest.raises(InferCampaignError, match="after retries"):
-        raise InferCampaignError(errors)
+@pytest.mark.parametrize("override", [
+    {"classifiers": ("nope",)},
+    {"reps": 0},
+    {"max_objects": 1},
+], ids=["classifiers", "reps", "max_objects"])
+def test_campaign_config_validates_the_design(override):
+    # A bad design must fail at construction, not in every shard.
+    with pytest.raises(ValueError):
+        InferCampaignConfig(sessions=4, shard_size=2, **override)
 
 
 def test_campaign_config_digest_tracks_parameters():

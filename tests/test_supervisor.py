@@ -8,12 +8,15 @@ partial result — and in both cases leaves machine-readable evidence.
 
 import json
 import os
+from dataclasses import dataclass
+from typing import Any, Callable, Dict
 
 import pytest
 
 from repro.campaign import (
     CampaignConfig,
     CampaignError,
+    ShardTask,
     build_manifest,
     checkpoint_path,
     render_shard_errors,
@@ -27,16 +30,24 @@ from repro.experiments.executor import (
     retry_backoff,
 )
 
+from repro.infer.campaign import InferCampaignConfig, InferShardTask
+
 CONFIG = CampaignConfig(sessions=600, shard_size=100, seed=5)
+INFER = InferCampaignConfig(
+    sessions=6, shard_size=2, seed=5, reps=2, max_objects=4
+)
+#: The runner's contract holds for every config it accepts, so the
+#: supervision tests run on a campaign and on an infer config.
+CONFIGS = {"campaign": CONFIG, "infer": INFER}
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint integrity: the corruption matrix
 # ---------------------------------------------------------------------------
 
-def _checkpointed_digest(tmp_path):
-    """Run the reference campaign with a checkpoint; return its digest."""
-    result = run_campaign(CONFIG, workers=1, checkpoint_dir=str(tmp_path))
+def _checkpointed_digest(config, directory):
+    """Run the reference config with a checkpoint; return its digest."""
+    result = run_campaign(config, workers=1, checkpoint_dir=directory)
     return result.digest()
 
 
@@ -71,14 +82,25 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
-def test_corrupted_checkpoint_quarantined_and_recomputed(tmp_path, kind):
-    reference = run_campaign(CONFIG, workers=1).digest()
-    assert _checkpointed_digest(tmp_path) == reference
-    path = checkpoint_path(CONFIG, str(tmp_path))
+# Campaign cases keep their bare corruption-kind ids.
+@pytest.mark.parametrize(
+    "engine, kind",
+    [(engine, kind) for engine in CONFIGS for kind in sorted(CORRUPTIONS)],
+    ids=[
+        kind if engine == "campaign" else f"{engine}-{kind}"
+        for engine in CONFIGS for kind in sorted(CORRUPTIONS)
+    ],
+)
+def test_corrupted_checkpoint_quarantined_and_recomputed(
+    tmp_path, engine, kind
+):
+    config = CONFIGS[engine]
+    reference = run_campaign(config, workers=1).digest()
+    assert _checkpointed_digest(config, str(tmp_path)) == reference
+    path = checkpoint_path(config, str(tmp_path))
     CORRUPTIONS[kind](path)
 
-    result = run_campaign(CONFIG, workers=1, checkpoint_dir=str(tmp_path))
+    result = run_campaign(config, workers=1, checkpoint_dir=str(tmp_path))
     sidecar = path + ".corrupt"
     assert os.path.exists(sidecar)  # evidence preserved, not deleted
     assert result.quarantined == [sidecar]
@@ -87,25 +109,32 @@ def test_corrupted_checkpoint_quarantined_and_recomputed(tmp_path, kind):
     assert not result.partial
 
 
+# Single-case tests loop over CONFIGS instead of taking a pytest
+# parameter, which keeps their test ids stable.
+
 def test_intact_checkpoint_still_resumes(tmp_path):
-    reference = _checkpointed_digest(tmp_path)
-    result = run_campaign(CONFIG, workers=1, checkpoint_dir=str(tmp_path))
-    assert result.resumed_shards == CONFIG.shard_count
-    assert result.quarantined == []
-    assert result.digest() == reference
+    for engine, config in CONFIGS.items():
+        directory = str(tmp_path / engine)
+        reference = _checkpointed_digest(config, directory)
+        result = run_campaign(config, workers=1, checkpoint_dir=directory)
+        assert result.resumed_shards == config.shard_count, engine
+        assert result.quarantined == [], engine
+        assert result.digest() == reference, engine
 
 
 def test_resealed_truncation_resumes_the_prefix(tmp_path):
     # Checkpoint.truncate models a kill *between* atomic flushes: the
     # surviving prefix is sealed and must be trusted on resume.
-    reference = _checkpointed_digest(tmp_path)
-    path = checkpoint_path(CONFIG, str(tmp_path))
-    kept = Checkpoint.truncate(path, keep=2)
-    assert kept == 2
-    result = run_campaign(CONFIG, workers=1, checkpoint_dir=str(tmp_path))
-    assert result.resumed_shards == 2
-    assert result.quarantined == []
-    assert result.digest() == reference
+    for engine, config in CONFIGS.items():
+        directory = str(tmp_path / engine)
+        reference = _checkpointed_digest(config, directory)
+        path = checkpoint_path(config, directory)
+        kept = Checkpoint.truncate(path, keep=2)
+        assert kept == 2, engine
+        result = run_campaign(config, workers=1, checkpoint_dir=directory)
+        assert result.resumed_shards == 2, engine
+        assert result.quarantined == [], engine
+        assert result.digest() == reference, engine
 
 
 def test_checkpoint_flush_fsyncs_file_and_directory(tmp_path, monkeypatch):
@@ -168,51 +197,96 @@ def test_retry_backoff_env_overrides_base(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_deadline_without_allow_partial_raises(tmp_path):
-    with pytest.raises(CampaignError) as excinfo:
-        run_campaign(CONFIG, workers=1, deadline=0.0,
-                     failure_manifest=str(tmp_path / "m.json"))
-    error = excinfo.value
-    assert len(error.errors) == CONFIG.shard_count
-    assert error.manifest_path == str(tmp_path / "m.json")
-    assert "failure manifest" in str(error)
-    payload = json.loads((tmp_path / "m.json").read_text())
-    validate_manifest(payload)
-    assert payload["status"] == "failed"
+    for engine, config in CONFIGS.items():
+        manifest_path = str(tmp_path / f"{engine}.json")
+        with pytest.raises(CampaignError) as excinfo:
+            run_campaign(config, workers=1, deadline=0.0,
+                         failure_manifest=manifest_path)
+        error = excinfo.value
+        assert len(error.errors) == config.shard_count, engine
+        assert error.manifest_path == manifest_path, engine
+        assert "failure manifest" in str(error), engine
+        with open(manifest_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        validate_manifest(payload)
+        assert payload["status"] == "failed", engine
 
 
 def test_allow_partial_returns_coverage_accounting():
-    result = run_campaign(CONFIG, workers=1, deadline=0.0,
-                          allow_partial=True)
-    assert result.partial
-    assert result.failed_shards == []
-    assert len(result.skipped_shards) == CONFIG.shard_count
-    assert result.sessions_covered == 0
-    coverage = result.coverage()
-    assert coverage["completed_shards"] == 0
-    assert coverage["error_kinds"] == ["deadline"]
-    assert "coverage" in result.to_json()
-    assert "coverage (PARTIAL)" in result.render()
+    for engine, config in CONFIGS.items():
+        result = run_campaign(config, workers=1, deadline=0.0,
+                              allow_partial=True)
+        assert result.partial, engine
+        assert result.failed_shards == [], engine
+        assert len(result.skipped_shards) == config.shard_count, engine
+        assert result.sessions_covered == 0, engine
+        coverage = result.coverage()
+        assert coverage["completed_shards"] == 0, engine
+        assert coverage["error_kinds"] == ["deadline"], engine
+        assert "coverage" in result.to_json(), engine
+        assert "coverage (PARTIAL)" in result.render(), engine
 
 
 def test_full_coverage_json_and_render_carry_no_degraded_fields():
-    result = run_campaign(CONFIG, workers=1)
-    assert not result.partial
-    assert "coverage" not in result.to_json()
-    assert "PARTIAL" not in result.render()
+    for engine, config in CONFIGS.items():
+        result = run_campaign(config, workers=1)
+        assert not result.partial, engine
+        assert "coverage" not in result.to_json(), engine
+        assert "PARTIAL" not in result.render(), engine
 
 
 def test_deadline_skips_are_not_persisted(tmp_path):
     # A deadline-skipped shard must stay recomputable: the checkpoint
     # holds only real results, so a later unconstrained resume finishes.
-    reference = run_campaign(CONFIG, workers=1).digest()
-    partial = run_campaign(CONFIG, workers=1, deadline=0.0,
-                           allow_partial=True,
-                           checkpoint_dir=str(tmp_path))
-    assert partial.sessions_covered == 0
-    resumed = run_campaign(CONFIG, workers=1,
-                           checkpoint_dir=str(tmp_path))
-    assert not resumed.partial
-    assert resumed.digest() == reference
+    for engine, config in CONFIGS.items():
+        directory = str(tmp_path / engine)
+        reference = run_campaign(config, workers=1).digest()
+        partial = run_campaign(config, workers=1, deadline=0.0,
+                               allow_partial=True, checkpoint_dir=directory)
+        assert partial.sessions_covered == 0, engine
+        resumed = run_campaign(config, workers=1, checkpoint_dir=directory)
+        assert not resumed.partial, engine
+        assert resumed.digest() == reference, engine
+
+
+@dataclass(frozen=True)
+class _FailingShardTask:
+    """Computes every shard for real except ``victim``, which raises."""
+
+    task: Callable[[int], Dict[str, Any]]
+    victim: int
+
+    def __call__(self, shard):
+        if shard == self.victim:
+            raise RuntimeError(f"shard {shard} exploded")
+        return self.task(shard)
+
+
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["unsupervised", "checkpointed"])
+@pytest.mark.parametrize("engine", sorted(CONFIGS))
+def test_failing_shard_task_raises_campaign_error(tmp_path, engine,
+                                                  checkpointed):
+    # Unsupervised, the failure must still surface as a CampaignError
+    # naming the shard (one attempt), never as a raw executor error;
+    # checkpointed, it is retried first and the good shards persist.
+    config = CONFIGS[engine]
+    real = ShardTask(config) if engine == "campaign" else InferShardTask(config)
+    task = _FailingShardTask(real, victim=1)
+    checkpoint_dir = str(tmp_path) if checkpointed else None
+    with pytest.raises(CampaignError, match="shard.s. failed") as excinfo:
+        run_campaign(config, workers=1, retries=1, shard_task=task,
+                     checkpoint_dir=checkpoint_dir)
+    (error,) = excinfo.value.errors
+    assert error.trial == 1
+    assert error.kind == "exception"
+    assert error.attempts == (2 if checkpointed else 1)
+    assert "shard 1 exploded" in error.error
+    if checkpointed:
+        saved = Checkpoint(checkpoint_path(config, str(tmp_path)))
+        assert sorted(saved.results) == [
+            shard for shard in range(config.shard_count) if shard != 1
+        ]
 
 
 # ---------------------------------------------------------------------------
