@@ -75,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend (default: the REPRO_BACKEND environment "
             "variable, else python): `fast` vectorizes analytic campaign "
-            "shards and infer features with numpy; all outputs are "
-            "bit-identical across backends"
+            "shards with numpy (infer is always vectorized); all outputs "
+            "are bit-identical across backends"
         ),
     )
     parser.add_argument(

@@ -1,15 +1,12 @@
 """Opt-in vectorized backend selection.
 
-The fast backend replaces per-session Python loops with numpy batch
-kernels behind the *existing* interfaces:
-
-* :mod:`repro.fastpath.analytic` evaluates whole campaign shards as
-  array programs (see :func:`evaluate_shard_analytic`);
-* :mod:`repro.fastpath.infer` extracts size-inference features for a
-  whole batch of observations in a handful of array operations.
-
-The packet-level simulator has a single event-dispatch path and runs
-the same code under either backend.
+The fast backend has one kernel: :mod:`repro.fastpath.analytic`
+evaluates whole analytic campaign shards as array programs (see
+:func:`evaluate_shard_analytic`) instead of one Python loop per
+session.  Nothing else reads the backend: the packet-level simulator
+has a single event-dispatch path, and the size-inference study
+(:mod:`repro.infer`) always builds its observations and features as
+numpy batches.
 
 Selection is explicit and layered: a CLI ``--backend`` argument wins,
 else the ``REPRO_BACKEND`` environment variable, else ``python``.  The

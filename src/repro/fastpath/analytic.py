@@ -9,8 +9,9 @@ Bit-identity with the scalar path is a *construction*, not a hope:
 
 * randomness is the same SplitMix64 counter stream
   (:class:`repro.simkernel.randomstream.CounterStream`) whose draw
-  ``i`` is a closed-form ``mix64(seed + i * GAMMA)`` — computed here
-  with wrapping ``uint64`` array arithmetic, identical bit patterns;
+  ``i`` is a closed-form ``mix64(seed + i * GAMMA)`` — computed by the
+  array kernels beside it in that module with wrapping ``uint64``
+  arithmetic, identical bit patterns;
 * uniforms scale a 53-bit integer by an exact power of two; zipf
   inversion uses ``np.searchsorted(side="left")`` which matches
   ``bisect.bisect_left`` on the identical cumulative table;
@@ -38,54 +39,11 @@ from repro.core.predictor import (
     RECORD_OVERHEAD,
     RESPONSE_HEADERS_WIRE,
 )
-from repro.simkernel.randomstream import SPLITMIX_GAMMA
+from repro.simkernel.randomstream import counter_seeds, randint, uniform
 
-_GAMMA = np.uint64(SPLITMIX_GAMMA)
-_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MULT_2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_RECIP_2_53 = 1.0 / 9007199254740992.0
 #: Sentinel error for candidates outside the tolerance window (far
 #: above any real byte error, far below int64 overflow when summed).
 _BIG_ERROR = 1 << 62
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> _S30)) * _MULT_1
-    z = (z ^ (z >> _S27)) * _MULT_2
-    return z ^ (z >> _S31)
-
-
-def counter_seeds(base: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.simkernel.randomstream.counter_stream_seed`."""
-    return _mix64(np.uint64(base) + (indices + np.uint64(1)) * _GAMMA)
-
-
-def draw64(seeds: np.ndarray, draw: np.ndarray | int) -> np.ndarray:
-    """The ``draw``-th (1-indexed) 64-bit output of each counter stream."""
-    if isinstance(draw, np.ndarray):
-        offset = draw.astype(np.uint64) * _GAMMA
-    else:
-        # Wrap in Python int arithmetic: numpy warns on *scalar*
-        # uint64 overflow even though array overflow wraps silently.
-        offset = np.uint64((int(draw) * SPLITMIX_GAMMA) & 0xFFFFFFFFFFFFFFFF)
-    return _mix64(seeds + offset)
-
-def uniform(seeds: np.ndarray, draw: np.ndarray | int) -> np.ndarray:
-    """``CounterStream.random()`` for the given draw index (exact)."""
-    return (draw64(seeds, draw) >> _S11).astype(np.float64) * _RECIP_2_53
-
-
-def randint(
-    seeds: np.ndarray, draw: np.ndarray | int, low: int, high: int
-) -> np.ndarray:
-    """``CounterStream.randint(low, high)`` for the given draw index."""
-    span = np.uint64(high - low + 1)
-    return (draw64(seeds, draw) % span).astype(np.int64) + low
 
 
 def expected_wire_payload_batch(

@@ -73,8 +73,8 @@ class InferCampaignConfig(ShardedConfig):
         )
 
     def shard_task(self, backend: str) -> "InferShardTask":
-        # Feature extraction follows REPRO_BACKEND on its own (the CLI
-        # exports --backend); the result is bit-identical either way.
+        # Infer has one path: observations and features are always
+        # numpy batches, so the backend selects nothing here.
         return InferShardTask(self)
 
     def empty_summary(self) -> InferSummary:

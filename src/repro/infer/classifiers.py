@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.simkernel.randomstream import CounterStream
+from repro.simkernel.randomstream import CounterStream, uniform
 
 #: Label returned by the exact-match baseline when nothing matches
 #: within tolerance — always counted as a miss.
@@ -241,8 +241,9 @@ class LogisticClassifier(Classifier):
     """Multinomial logistic regression, fixed-iteration full-batch GD.
 
     Weights initialise from the classifier's seeded
-    :class:`~repro.simkernel.randomstream.CounterStream` (so the seed
-    genuinely enters the model), then take ``EPOCHS`` deterministic
+    :class:`~repro.simkernel.randomstream.CounterStream` draws, computed
+    in one array pass (so the seed genuinely enters the model), then
+    take ``EPOCHS`` deterministic
     gradient steps.  All reductions run through einsum/np.sum pairwise
     loops — same floats on every run and worker.
     """
@@ -272,15 +273,7 @@ class LogisticClassifier(Classifier):
         for row, label in enumerate(label_array):
             one_hot[row, label_index[int(label)]] = 1.0
 
-        stream = CounterStream(self.seed)
-        n_features = scaled.shape[1]
-        weights = np.array([
-            [
-                (2.0 * stream.random() - 1.0) * self.INIT_SCALE
-                for _ in range(classes)
-            ]
-            for _ in range(n_features)
-        ])
+        weights = self._initial_weights(scaled.shape[1], classes)
         bias = np.zeros(classes)
         samples = float(len(label_array))
         for _ in range(self.EPOCHS):
@@ -296,6 +289,17 @@ class LogisticClassifier(Classifier):
         self._weights = weights
         self._bias = bias
         return self
+
+    def _initial_weights(self, n_features: int, classes: int) -> np.ndarray:
+        """Uniform weights in ±``INIT_SCALE`` from the seed's counter stream.
+
+        Weight ``[f, c]`` is draw ``f * classes + c + 1`` — the order a
+        row-major loop of ``CounterStream.random()`` calls draws in.
+        """
+        draws = np.arange(1, n_features * classes + 1, dtype=np.uint64)
+        unit = uniform(np.uint64(CounterStream(self.seed).seed), draws)
+        weights = (2.0 * unit - 1.0) * self.INIT_SCALE
+        return weights.reshape(n_features, classes)
 
     def predict(self, features) -> List[int]:
         scaled = (_as_matrix(features) - self._mean) / self._scale

@@ -18,7 +18,13 @@ object's response during a multiplexed page load:
 Every observation draws from its own counter stream named by
 ``(role, level, session, object, rep)``, so any subset of levels,
 sessions or reps reproduces identical observations — the property that
-makes shard/worker/resume slicing bit-stable.
+makes shard/worker/resume slicing bit-stable.  Because a counter
+stream's draw ``i`` is a closed form of ``(seed, i)``, :func:`observe`
+builds all observations of one (session, level) as one batch: the few
+data-dependent draws run per stream, the two timing draws per record
+run as one array pass, and the result is the flat
+:class:`~repro.infer.features.ObservationBatch` the numpy feature
+kernel reads.
 
 The attacker trains on its own seeded fetches (role ``train``) and
 classifies the victim's (role ``victim``); both see the same
@@ -28,14 +34,17 @@ contamination *distribution* but disjoint draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.predictor import FRAME_HEADER, RECORD_OVERHEAD, RESPONSE_HEADERS_WIRE
 from repro.experiments.executor import heartbeat
 from repro.infer.classifiers import classifier_names, resolve_classifier
 from repro.infer.defenses import DefenseConfig, DefenseOverhead, defense_level, defense_level_names
-from repro.infer.features import FeatureConfig, RecordObs, extract_features_auto
-from repro.simkernel.randomstream import CounterStream, counter_stream_base
+from repro.infer.features import FeatureConfig, ObservationBatch, extract_features_auto
+from repro.simkernel.randomstream import CounterStream, counter_stream_base, randint
 from repro.web.workload import PopulationConfig, PopulationWorkload
 
 #: Plaintext bytes of the response HEADERS record (its wire size is the
@@ -87,6 +96,9 @@ class StudyDesign:
             raise ValueError("chunk_bytes must be positive")
         if self.pause_one_in < 1:
             raise ValueError("pause_one_in must be positive")
+        for knob in ("gap_base_us", "gap_jitter_us", "pause_us", "mux_max_inserts"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be non-negative")
         for name in self.levels:
             defense_level(name)  # validates early, worker-side errors are ugly
         for name in self.classifiers:
@@ -141,42 +153,60 @@ def observation_stream(
 
 
 def observe(
-    index: int,
+    objects: Sequence[int],
+    streams: Sequence[CounterStream],
     object_records: Sequence[Tuple[int, ...]],
     level: DefenseConfig,
     design: StudyDesign,
-    stream: CounterStream,
-) -> List[RecordObs]:
-    """One observation of object ``index`` of a page.
+) -> ObservationBatch:
+    """Observation ``i`` of object ``objects[i]`` from ``streams[i]``, batched.
 
-    Draw order (fixed; determinism depends on it): chaff positions,
-    contamination count then per-insert (object, record, position)
-    triples, then per-record timing (jitter, pause) pairs.
+    Draw order per observation (fixed; determinism depends on it):
+    chaff positions, contamination count then per-insert (object,
+    record, position) triples, then per-record timing (jitter, pause)
+    pairs.  The first group is data-dependent and drawn from each
+    stream in turn.  The timing pairs follow at known indices — record
+    ``k`` of a stream left at position ``p`` draws ``p + 2k + 1`` and
+    ``p + 2k + 2`` — so they are computed for the whole batch in one
+    array pass, and the streams stay at ``p``.
     """
-    lengths = list(object_records[index])
     chaff_wire = level.chaff_record_plaintext + RECORD_OVERHEAD
-    for _ in range(level.chaff_records):
-        position = stream.randint(0, len(lengths))
-        lengths.insert(position, chaff_wire)
     others = len(object_records) - 1
-    if not level.pipeline and others > 0:
-        inserts = stream.randint(0, design.mux_max_inserts)
-        for _ in range(inserts):
-            pick = stream.randint(0, others - 1)
-            other = pick if pick < index else pick + 1
-            foreign = object_records[other]
-            record = foreign[stream.randint(0, len(foreign) - 1)]
-            position = stream.randint(0, len(lengths))
-            lengths.insert(position, record)
-    now = 0
-    observation: List[RecordObs] = []
-    for length in lengths:
-        gap = design.gap_base_us + stream.randint(0, design.gap_jitter_us)
-        if stream.randint(0, design.pause_one_in - 1) == 0:
-            gap += design.pause_us
-        now += gap
-        observation.append((now, length))
-    return observation
+    contaminate = not level.pipeline and others > 0
+    sequences: List[List[int]] = []
+    for index, stream in zip(objects, streams):
+        sequence = list(object_records[index])
+        for _ in range(level.chaff_records):
+            sequence.insert(stream.randint(0, len(sequence)), chaff_wire)
+        if contaminate:
+            for _ in range(stream.randint(0, design.mux_max_inserts)):
+                pick = stream.randint(0, others - 1)
+                foreign = object_records[pick if pick < index else pick + 1]
+                record = foreign[stream.randint(0, len(foreign) - 1)]
+                sequence.insert(stream.randint(0, len(sequence)), record)
+        sequences.append(sequence)
+
+    counts = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
+    total = int(counts.sum())
+    lengths = np.fromiter(chain.from_iterable(sequences), np.int64, total)
+    starts = np.cumsum(counts) - counts
+    segment_of = np.repeat(np.arange(len(counts)), counts)
+    seeds = np.array([stream.seed for stream in streams], dtype=np.uint64)
+    positions = np.array([stream.position for stream in streams], dtype=np.int64)
+    record_seeds = seeds[segment_of]
+    record = np.arange(total) - starts[segment_of]
+    jitter_draw = positions[segment_of] + 2 * record + 1
+    gaps = design.gap_base_us + randint(
+        record_seeds, jitter_draw, 0, design.gap_jitter_us
+    )
+    paused = randint(
+        record_seeds, jitter_draw + 1, 0, design.pause_one_in - 1
+    ) == 0
+    gaps[paused] += design.pause_us
+    # Arrival times: per-observation running sums of the gaps.
+    cumulative = np.cumsum(gaps)
+    times = cumulative - np.repeat(cumulative[starts] - gaps[starts], counts)
+    return ObservationBatch(times, lengths, counts)
 
 
 def level_overhead(
@@ -235,24 +265,19 @@ def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
     for level_name in design.levels:
         level = defense_level(level_name)
         defended = [defended_wire_records(rec, level) for rec in plaintext]
-        train_obs = []
-        train_labels = []
-        for obj in labels:
-            for rep in range(design.reps):
-                stream = observation_stream(
-                    design, "train", level, session, obj, rep
-                )
-                train_obs.append(observe(obj, defended, level, design, stream))
-                train_labels.append(obj)
-        victim_obs = [
-            observe(
-                obj, defended, level, design,
-                observation_stream(design, "victim", level, session, obj, 0),
-            )
+        train_labels = [obj for obj in labels for _ in range(design.reps)]
+        streams = [
+            observation_stream(design, "train", level, session, obj, rep)
+            for obj in labels
+            for rep in range(design.reps)
+        ] + [
+            observation_stream(design, "victim", level, session, obj, 0)
             for obj in labels
         ]
-        train_features = extract_features_auto(train_obs, design.features)
-        victim_features = extract_features_auto(victim_obs, design.features)
+        batch = observe(train_labels + labels, streams, defended, level, design)
+        features = extract_features_auto(batch, design.features)
+        train_features = features[: len(train_labels)]
+        victim_features = features[len(train_labels):]
         correct: Dict[str, int] = {}
         for classifier_name in design.classifiers:
             classifier_seed = counter_stream_base(

@@ -3,9 +3,13 @@
 An observation is what the middlebox sees of one object's response: a
 time-ordered sequence of ``(time_us, wire_length)`` pairs, one per TLS
 application-data record (the cleartext record headers expose both).
-Feature extraction turns it into a fixed-length tuple of plain ints —
-no floats anywhere, so the scalar path here and the vectorized kernel
-in :mod:`repro.fastpath.infer` are bit-identical by construction.
+Feature extraction turns it into a fixed-length vector of plain ints.
+Two implementations compute it: :func:`extract_features` loops over one
+observation in plain Python and is the reference, and
+:func:`extract_features_auto` computes a whole :class:`ObservationBatch`
+in a handful of int64 array operations and is the path the study runs.
+There are no floats anywhere, so the two are bit-identical by
+construction (the Hypothesis suite pins it anyway).
 
 Vector layout (``feature_length(config)`` entries)::
 
@@ -35,10 +39,25 @@ Hypothesis suite pins that claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 #: One observed record: (arrival time in integer microseconds, wire length).
 RecordObs = Tuple[int, int]
+
+
+class ObservationBatch(NamedTuple):
+    """Observations in flat segment form, the batch feature input.
+
+    Observation ``i`` is records ``[start_i, start_i + counts[i])`` of
+    the flat int64 ``times``/``lengths`` arrays, where ``start_i`` is
+    the sum of the counts before it.
+    """
+
+    times: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,22 +169,83 @@ def extract_features(
 
 
 def extract_features_auto(
-    observations: Sequence[Sequence[RecordObs]], config: FeatureConfig
-) -> List[Tuple[int, ...]]:
-    """Feature vectors for a batch, via the active backend.
+    batch: ObservationBatch, config: FeatureConfig
+) -> np.ndarray:
+    """The int64 feature matrix of a batch, one row per observation.
 
-    The python backend loops :func:`extract_features`; with
-    ``REPRO_BACKEND=fast`` the numpy kernel in
-    :mod:`repro.fastpath.infer` computes the identical integers in a
-    handful of array operations.
+    Row ``i`` equals :func:`extract_features` of observation ``i``.
+    Per-observation reductions are ``ufunc.reduceat`` calls over the
+    segment starts; per-burst reductions use a second, data-dependent
+    boundary vector derived from the inter-arrival gaps.
+
+    Raises:
+        ValueError: when any observation is empty (same contract as the
+            scalar extractor).
     """
-    from repro.fastpath import fast_backend_active
+    counts = batch.counts
+    rows = len(counts)
+    matrix = np.empty((rows, feature_length(config)), dtype=np.int64)
+    if rows == 0:
+        return matrix
+    if (counts < 1).any():
+        raise ValueError("cannot extract features from an empty observation")
+    times, lengths = batch.times, batch.lengths
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    segment_of = np.repeat(np.arange(rows), counts)
 
-    if fast_backend_active():
-        from repro.fastpath.infer import extract_features_batch
+    matrix[:, 0] = counts
+    matrix[:, 1] = np.add.reduceat(lengths, starts)
+    matrix[:, 2] = np.minimum.reduceat(lengths, starts)
+    matrix[:, 3] = np.maximum.reduceat(lengths, starts)
 
-        return extract_features_batch(observations, config)
-    return [extract_features(obs, config) for obs in observations]
+    bins = config.hist_bins
+    slot = np.minimum(lengths // config.hist_bin_bytes, bins - 1)
+    column = 4 + bins
+    matrix[:, 4:column] = np.bincount(
+        segment_of * bins + slot, minlength=rows * bins
+    ).reshape(rows, bins)
+
+    matrix[:, column] = lengths[starts]
+    matrix[:, column + 1] = lengths[ends - 1]
+    column += 2
+
+    cumulative = np.cumsum(lengths)
+    before = cumulative[starts] - lengths[starts]
+    points = config.curve_points
+    k = np.arange(1, points + 1)
+    # ceil(k*n/P) - 1 records into each segment.
+    index = starts[:, None] + (k * counts[:, None] + points - 1) // points - 1
+    matrix[:, column:column + points] = cumulative[index] - before[:, None]
+    column += points
+
+    # Inter-arrival gaps; the entry at each segment start is not a real
+    # gap and is zeroed, which the scalar loop's zero-initialised sum
+    # and max absorb alike.
+    gaps = np.diff(times, prepend=times[:1])
+    gaps[starts] = 0
+    over = gaps > config.burst_gap_us
+    gaps_over = np.bincount(segment_of[over], minlength=rows)
+
+    # Every segment opens a burst and every large gap opens another, so
+    # the bursts of a segment are contiguous in ``burst_starts``.
+    boundary = over.copy()
+    boundary[starts] = True
+    burst_starts = np.flatnonzero(boundary)
+    bursts = gaps_over + 1
+    first_burst = np.cumsum(bursts) - bursts
+    matrix[:, column] = bursts
+    matrix[:, column + 1] = np.maximum.reduceat(
+        np.add.reduceat(lengths, burst_starts), first_burst
+    )
+    matrix[:, column + 2] = np.maximum.reduceat(
+        np.diff(burst_starts, append=len(lengths)), first_burst
+    )
+
+    matrix[:, column + 3] = np.add.reduceat(gaps, starts)
+    matrix[:, column + 4] = np.maximum.reduceat(gaps, starts)
+    matrix[:, column + 5] = gaps_over
+    return matrix
 
 
 def capture_record_sequence(capture, direction) -> List[RecordObs]:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, TypeVar
+from typing import TYPE_CHECKING, Dict, List, Sequence, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -28,9 +31,9 @@ _RECIP_2_53 = 1.0 / 9007199254740992.0
 def mix64(value: int) -> int:
     """SplitMix64's finalizer: avalanche one 64-bit value.
 
-    Pure 64-bit integer arithmetic (no platform-dependent state), so a
-    numpy ``uint64`` kernel computes the identical value — the property
-    the vectorized fast backend's bit-identity rests on.
+    Pure 64-bit integer arithmetic (no platform-dependent state), so the
+    numpy ``uint64`` kernel :func:`_mix64` computes the identical value —
+    the property every vectorized draw's bit-identity rests on.
     """
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
@@ -57,6 +60,74 @@ def counter_stream_seed(base: int, index: int) -> int:
     return mix64((base + (index + 1) * SPLITMIX_GAMMA) & _MASK64)
 
 
+# Vectorized SplitMix64 ------------------------------------------------
+#
+# The same formulas over numpy ``uint64`` arrays, whose arithmetic wraps
+# modulo 2**64 exactly like the masked scalar code above, so draw ``i``
+# of a stream is the identical bit pattern either way.  numpy is
+# imported on first use: the packet-level simulator never needs it.
+
+
+def _mix64(z: "np.ndarray") -> "np.ndarray":
+    """:func:`mix64` over a uint64 array (wrapping arithmetic)."""
+    import numpy as np
+
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
+    return z ^ (z >> np.uint64(31))
+
+
+def counter_seeds(base: int, indices: "np.ndarray") -> "np.ndarray":
+    """Vectorized :func:`counter_stream_seed` over uint64 ``indices``."""
+    import numpy as np
+
+    return _mix64(
+        np.uint64(base) + (indices + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA)
+    )
+
+
+def draw64(seeds: "np.ndarray", draw: "np.ndarray | int") -> "np.ndarray":
+    """The ``draw``-th (1-indexed) 64-bit output of each counter stream.
+
+    ``seeds`` are :attr:`CounterStream.seed` values (already masked to
+    64 bits); ``draw`` is one index or an array broadcast against them.
+    """
+    import numpy as np
+
+    if isinstance(draw, np.ndarray):
+        offset = draw.astype(np.uint64) * np.uint64(SPLITMIX_GAMMA)
+    else:
+        # Wrap in Python int arithmetic: numpy warns on *scalar*
+        # uint64 overflow even though array overflow wraps silently.
+        offset = np.uint64((int(draw) * SPLITMIX_GAMMA) & _MASK64)
+    return _mix64(seeds + offset)
+
+
+def uniform(seeds: "np.ndarray", draw: "np.ndarray | int") -> "np.ndarray":
+    """:meth:`CounterStream.random` at the given draw index (exact)."""
+    import numpy as np
+
+    top53 = draw64(seeds, draw) >> np.uint64(11)
+    return top53.astype(np.float64) * _RECIP_2_53
+
+
+def randint(
+    seeds: "np.ndarray", draw: "np.ndarray | int", low: int, high: int
+) -> "np.ndarray":
+    """:meth:`CounterStream.randint` at the given draw index (exact).
+
+    Raises:
+        ValueError: on an empty range — numpy's ``%`` by a zero span
+            would return 0 with only a warning.
+    """
+    import numpy as np
+
+    if high < low:
+        raise ValueError(f"empty randint range [{low}, {high}]")
+    span = np.uint64(high - low + 1)
+    return (draw64(seeds, draw) % span).astype(np.int64) + low
+
+
 class CounterStream:
     """A counter-based (SplitMix64) random substream.
 
@@ -65,10 +136,11 @@ class CounterStream:
 
         output_i = mix64(seed + i * SPLITMIX_GAMMA)
 
-    so a vectorized backend can compute any draw of any stream without
-    sequential state — the property that makes the campaign engine's
-    numpy fast path bit-identical to this scalar implementation.  The
-    interface mirrors the ``random.Random`` subset the analytic
+    so the array kernels above (:func:`uniform`, :func:`randint`) can
+    compute any draw of any stream without sequential state — the
+    property that makes the analytic campaign kernel and the batched
+    infer observations bit-identical to this scalar implementation.
+    The interface mirrors the ``random.Random`` subset the analytic
     campaign path consumes (``random``/``randint``).
 
     ``randint`` maps a 64-bit draw onto the span by modulo; the bias is
@@ -82,6 +154,11 @@ class CounterStream:
     def __init__(self, seed: int) -> None:
         self.seed = int(seed) & _MASK64
         self._index = 0
+
+    @property
+    def position(self) -> int:
+        """Draws consumed so far; the next draw has index ``position + 1``."""
+        return self._index
 
     def _next64(self) -> int:
         self._index += 1

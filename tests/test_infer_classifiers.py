@@ -7,15 +7,18 @@ parameter bytes.  The learning checks are intentionally easy — cleanly
 separable toy classes — because the point is wiring, not benchmarking.
 """
 
+import numpy as np
 import pytest
 
 from repro.infer.classifiers import (
     CLASSIFIER_REGISTRY,
     UNMATCHED,
     ExactMatchClassifier,
+    LogisticClassifier,
     classifier_names,
     resolve_classifier,
 )
+from repro.simkernel.randomstream import CounterStream
 
 
 def _toy_data(spread=0, classes=3, reps=4):
@@ -79,6 +82,31 @@ def test_logistic_digest_depends_on_seed():
     one.fit(rows, labels)
     two.fit(rows, labels)
     assert one.model_digest() != two.model_digest()
+
+
+class ScalarInitLogistic(LogisticClassifier):
+    """Reference: one ``CounterStream.random()`` call per init weight."""
+
+    def _initial_weights(self, n_features, classes):
+        stream = CounterStream(self.seed)
+        return np.array([
+            [
+                (2.0 * stream.random() - 1.0) * self.INIT_SCALE
+                for _ in range(classes)
+            ]
+            for _ in range(n_features)
+        ])
+
+
+@pytest.mark.parametrize("seed", [
+    0, 1, 2**63, 2**64 - 1, -1, -(2**63) - 5, 2**64, 2**64 + 99, 7 * 2**70 + 3,
+])
+def test_vectorized_logistic_init_matches_scalar_loop(seed):
+    # CounterStream masks seeds to 64 bits; the vector draw must too.
+    rows, labels = _toy_data(classes=4)
+    vector = LogisticClassifier(seed).fit(rows, labels)
+    scalar = ScalarInitLogistic(seed).fit(rows, labels)
+    assert vector.model_digest() == scalar.model_digest()
 
 
 # -- learning sanity -----------------------------------------------------

@@ -6,18 +6,20 @@ Hypothesis:
 * the *invariant prefix* of the feature vector depends only on the
   multiset of record lengths — permuting which length arrives at which
   timestamp cannot change it;
-* the numpy batch kernel (:mod:`repro.fastpath.infer`) and the scalar
-  loop produce identical integers for every observation batch, so the
-  ``fast`` backend cannot drift the study.
+* the numpy batch kernel the study runs
+  (:func:`~repro.infer.features.extract_features_auto`) and the scalar
+  reference :func:`~repro.infer.features.extract_features` produce
+  identical integers for every observation batch.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fastpath.infer import extract_features_batch
 from repro.infer.features import (
     FeatureConfig,
+    ObservationBatch,
     capture_record_sequence,
     extract_features,
     extract_features_auto,
@@ -26,6 +28,21 @@ from repro.infer.features import (
     observed_record_lengths,
 )
 from repro.netsim.capture import CaptureLog, Direction, PacketRecord
+
+
+def pack(observations):
+    """A list of ``(time, length)`` observations in segment form."""
+    return ObservationBatch(
+        times=np.array([t for obs in observations for t, _ in obs], dtype=np.int64),
+        lengths=np.array([l for obs in observations for _, l in obs], dtype=np.int64),
+        counts=np.array([len(obs) for obs in observations], dtype=np.int64),
+    )
+
+
+def extract_features_batch(observations, config):
+    """The batch kernel over a list of observations, rows as tuples."""
+    matrix = extract_features_auto(pack(observations), config)
+    return [tuple(row) for row in matrix.tolist()]
 
 
 # -- strategies ----------------------------------------------------------
@@ -83,10 +100,14 @@ def test_empty_observation_rejected():
 
 
 def test_all_features_are_plain_ints():
-    features = extract_features(((0, 100), (5, 200)), FeatureConfig())
+    config = FeatureConfig()
+    features = extract_features(((0, 100), (5, 200)), config)
     assert all(type(value) is int for value in features)
-    (batch,) = extract_features_batch([((0, 100), (5, 200))], FeatureConfig())
-    assert all(type(value) is int for value in batch)
+    # The batch kernel hands the classifiers one int64 matrix.
+    matrix = extract_features_auto(pack([((0, 100), (5, 200)), ((0, 326),)]), config)
+    assert matrix.dtype == np.int64
+    assert matrix.shape == (2, feature_length(config))
+    assert extract_features_auto(pack([]), config).shape == (0, feature_length(config))
 
 
 # -- permutation invariance (Hypothesis) ---------------------------------
@@ -121,15 +142,15 @@ def test_vector_kernel_matches_scalar_exactly(batch, config):
     assert vector == scalar
 
 
-def test_auto_dispatch_follows_backend(monkeypatch):
+def test_infer_features_ignore_backend(monkeypatch):
     from repro.fastpath import BACKEND_ENV
 
     batch = [((0, 120), (2500, 2086)), ((0, 326),)]
     config = FeatureConfig()
     monkeypatch.delenv(BACKEND_ENV, raising=False)
-    python_result = extract_features_auto(batch, config)
+    python_result = extract_features_batch(batch, config)
     monkeypatch.setenv(BACKEND_ENV, "fast")
-    assert extract_features_auto(batch, config) == python_result
+    assert extract_features_batch(batch, config) == python_result
 
 
 # -- capture adapters ----------------------------------------------------
