@@ -7,8 +7,9 @@ and reports population-scale attack statistics.  The execution hierarchy:
 * the campaign is split into fixed-size **shards** of consecutive
   session indices;
 * shards are mapped over **workers** by the existing
-  :class:`~repro.experiments.executor.TrialExecutor` (spawn processes,
-  crash isolation, shard-level retry);
+  :class:`~repro.experiments.executor.TrialExecutor` (long-lived spawn
+  workers fed one shard at a time, crash isolation, shard-level
+  retry);
 * inside a shard, **trials** (sessions) run one at a time and fold
   immediately into a :class:`~repro.campaign.columnar.ColumnarSummary`
   — no per-trial object outlives its shard, so a worker's memory is
@@ -681,11 +682,12 @@ def run_campaign(
 
     Supervision is on only when asked for — by ``checkpoint_dir``,
     ``allow_partial``, ``deadline``, ``heartbeat_timeout`` or
-    ``failure_manifest``.  A supervised run retries failed shards and
-    records structured per-shard errors; with ``workers > 1`` it spawns
-    one process per shard.  An unsupervised run keeps the executor's
-    pooled path: one attempt per shard, and the first failure stops the
-    run with a :class:`CampaignError`.
+    ``failure_manifest``.  Either way the shards run on the same
+    executor: in process, or on up to ``workers`` long-lived spawn
+    workers.  A supervised run retries failed shards and records
+    structured per-shard errors.  An unsupervised run gives each shard
+    one attempt, and the first failure — an exception or a crashed
+    worker — stops the run with a :class:`CampaignError`.
 
     Args:
         config: what to run — a :class:`CampaignConfig`, an

@@ -5,8 +5,8 @@ produce bit-identical stdout:
 
 * **serial** — the golden layer's capture (``--workers 1``), reused as
   the reference;
-* **workers-4** — the same argv with ``--workers 4``: a spawn pool
-  must not change a byte;
+* **workers-4** — the same argv with ``--workers 4``: long-lived
+  spawn workers, each fed one trial at a time, must not change a byte;
 * **kill+resume** — the run is checkpointed, the checkpoint is
   truncated to a strict prefix (simulating a kill partway through),
   and the re-run must still match the reference.  The robustness study

@@ -9,17 +9,24 @@ callables* over trial indices; tasks run the trial and extract a
 picklable :class:`~repro.experiments.harness.TrialSummary` (or any
 other plain-data result) worker-side.
 
-Backends:
+Dispatch has two paths:
 
-* ``serial``  — a plain in-process loop (the default for 1 worker).
-* ``process`` — a spawn-context :mod:`multiprocessing` pool.  Spawn is
+* **in process** — a plain loop, whenever at most one worker would be
+  busy (``min(workers, pending trials) <= 1``).
+* **worker pool** — ``min(workers, pending trials)`` long-lived spawn
+  workers.  Each owns one duplex pipe and is fed one trial index at a
+  time; the parent multiplexes the pipes and the workers' process
+  sentinels with :func:`multiprocessing.connection.wait`.  Spawn is
   used on every platform so workers never inherit forked simulator
   state, and because tasks must be picklable anyway.
 
-Determinism: trials are seeded from their index alone, dispatch is
-chunked over a fixed index order, and results are returned in trial
-order (``Pool.map`` preserves input order), so aggregates are
-bit-identical regardless of worker count or backend.
+Both paths share one piece of bookkeeping — attempts, per-attempt
+history, retry backoff, deadline and checkpoint — so a trial fails,
+retries and resumes the same way whichever path runs it.
+
+Determinism: trials are seeded from their index alone and results are
+returned in trial order, so aggregates are bit-identical regardless of
+worker count.
 
 Worker count resolution order: explicit ``workers=`` argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (serial).
@@ -27,15 +34,18 @@ Worker count resolution order: explicit ``workers=`` argument, then the
 Fault tolerance
 ---------------
 
-``map_trials`` accepts an optional :class:`FaultTolerance` policy.  With
-one active, the executor switches from a shared pool to supervised
-one-process-per-trial dispatch and guarantees:
+Without a :class:`FaultTolerance` policy every trial gets one attempt,
+and the first failure — a worker exception or a crashed worker — is
+raised as :class:`TrialExecutionError`, so the failing trial index is
+never lost.  ``map_trials`` accepts an optional policy; with one
+active:
 
 * a worker exception is returned as a structured :class:`TrialError`
-  carrying the trial index and traceback instead of poisoning the pool;
+  carrying the trial index and traceback;
 * a crashed worker (``SIGKILL``, OOM, hard exit) is detected by its
-  exit code and only that trial is affected;
-* a hung trial is killed after ``timeout`` wall-clock seconds;
+  process sentinel or by end-of-file on its pipe; only the trial it was
+  running is affected, and a fresh worker replaces it;
+* a hung trial's worker is killed after ``timeout`` wall-clock seconds;
 * each failed trial is retried up to ``retries`` times — trials are
   seeded from their index alone, so a retry deterministically
   reproduces what the lost worker would have computed;
@@ -44,9 +54,8 @@ one-process-per-trial dispatch and guarantees:
   completed trials — a long sweep survives interruption of the whole
   run, with a final output identical to an uninterrupted one.
 
-Even without a :class:`FaultTolerance` policy, worker exceptions are
-wrapped as :class:`TrialExecutionError` so the failing trial index is
-never lost.
+The in-process loop cannot preempt a trial, so it ignores ``timeout``
+and ``heartbeat_timeout`` and honours ``deadline`` between attempts.
 
 Supervision extensions (campaign supervisor layer)
 --------------------------------------------------
@@ -61,14 +70,16 @@ The policy also carries the knobs the campaign supervisor needs:
   file and its directory before/after the atomic ``os.replace`` so a
   power loss cannot tear the file either.
 * **deadline** — a wall-clock budget for the whole ``map_trials`` call;
-  once exhausted, no new trials launch, running ones are killed, and
+  once exhausted, no new trials launch, busy workers are killed, and
   every unfinished trial yields a :class:`TrialError` with
   ``kind="deadline"`` (never persisted, so a later resume recomputes
   them).
-* **heartbeat watchdog** — tasks report progress via :func:`heartbeat`;
-  with ``heartbeat_timeout`` set, a supervised worker that stays silent
-  longer than that is declared stalled (``kind="stalled"``), killed and
-  retried, even if its per-trial ``timeout`` has not expired.
+* **heartbeat watchdog** — tasks report progress via :func:`heartbeat`,
+  which writes to the worker's own pipe (a killed worker can break only
+  its own channel); with ``heartbeat_timeout`` set, a worker that stays
+  silent longer than that is declared stalled (``kind="stalled"``),
+  killed and its trial retried, even if its per-trial ``timeout`` has
+  not expired.
 * **deterministic retry backoff** — the wait before a same-seed retry
   is seeded from ``(backoff_seed, trial index, attempt)``, so
   fault-tolerant reruns pause identically; ``REPRO_BACKOFF=0`` (the
@@ -84,9 +95,9 @@ import io
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
-import queue as queue_module
 import sys
 import tempfile
 import time
@@ -126,20 +137,14 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 #: number of seconds, ``0`` disabling backoff waits entirely (tests/CI).
 BACKOFF_ENV = "REPRO_BACKOFF"
 
-_BACKENDS = ("serial", "process")
-
-#: Grace period between noticing a dead worker and declaring it crashed
-#: (its result may still be in flight through the queue feeder).
-_CRASH_GRACE = 1.0
-
 #: Supervision loop poll interval, seconds.
 _POLL_INTERVAL = 0.05
 
 #: Minimum spacing between heartbeat messages a worker emits.
 _HEARTBEAT_INTERVAL = 0.2
 
-#: Sentinel in a result tuple's ``ok`` slot marking a heartbeat.
-_HEARTBEAT = "heartbeat"
+#: How long a hung-up worker may take to exit before it is killed.
+_JOIN_GRACE = 5.0
 
 
 @contextlib.contextmanager
@@ -170,33 +175,32 @@ def _silence_worker_stdout() -> None:
         sys.stdout = io.StringIO()
 
 
-#: Worker-side heartbeat channel, set by :func:`_trial_worker`:
-#: ``(result_queue, trial_index, last_beat_monotonic)`` or ``None``
-#: outside a supervised worker.
-_worker_heartbeat: Optional[List[Any]] = None
+#: Worker-side heartbeat channel, set by :func:`_worker_main`:
+#: ``[pipe, last_beat_monotonic]``, or ``None`` outside a pool worker.
+_worker_channel: Optional[List[Any]] = None
 
 
 def heartbeat() -> None:
-    """Report liveness from inside a supervised trial task.
+    """Report liveness from inside a trial task running in a pool worker.
 
-    A no-op outside supervised workers, so tasks may call it
-    unconditionally (the campaign shard loop beats once per session).
-    Beats are throttled to one per :data:`_HEARTBEAT_INTERVAL` so a
-    tight loop cannot flood the result queue.  The parent's hung-shard
-    watchdog (``FaultTolerance.heartbeat_timeout``) kills and retries a
-    worker whose beats stop.
+    A no-op in process, so tasks may call it unconditionally (the
+    campaign shard loop beats once per session).  A beat is a ``None``
+    message on the worker's own pipe, throttled to one per
+    :data:`_HEARTBEAT_INTERVAL` so a tight loop cannot flood it.  The
+    parent's hung-shard watchdog (``FaultTolerance.heartbeat_timeout``)
+    kills a worker whose beats stop and retries its trial.
     """
-    channel = _worker_heartbeat
+    channel = _worker_channel
     if channel is None:
         return
-    queue, index, last = channel
+    pipe, last = channel
     now = time.monotonic()
     if now - last < _HEARTBEAT_INTERVAL:
         return
-    channel[2] = now
+    channel[1] = now
     try:
-        queue.put((index, _HEARTBEAT, None, ""))
-    except Exception:  # queue torn down mid-shutdown — liveness only
+        pipe.send(None)
+    except OSError:  # the parent hung up mid-shutdown — liveness only
         pass
 
 
@@ -344,8 +348,8 @@ class FaultTolerance:
 
     Attributes:
         timeout: per-trial wall-clock budget in seconds; a worker
-            running longer is killed and the trial retried (process
-            backend only — a serial run cannot preempt itself).
+            running longer is killed and the trial retried (worker
+            pool only — the in-process loop cannot preempt itself).
         retries: extra attempts per trial after the first failure.
         checkpoint_path: JSON file streaming completed results; on the
             next run, trials already recorded there are not re-run.
@@ -359,9 +363,9 @@ class FaultTolerance:
         deadline: wall-clock budget in seconds for the whole
             ``map_trials`` call; unfinished trials become
             ``kind="deadline"`` :class:`TrialError` records.
-        heartbeat_timeout: a supervised worker silent (no
-            :func:`heartbeat`) for longer than this is declared stalled,
-            killed and retried (process backend only).
+        heartbeat_timeout: a worker silent (no :func:`heartbeat`) for
+            longer than this is declared stalled, killed and its trial
+            retried (worker pool only).
         backoff_base: base seconds of the deterministic exponential
             backoff before each same-seed retry (0 disables; the
             :data:`BACKOFF_ENV` environment variable overrides).
@@ -392,44 +396,6 @@ class FaultTolerance:
             raise ValueError("heartbeat_timeout must be positive")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-
-
-class _IndexedTask:
-    """Wraps the user task so worker failures carry the trial index."""
-
-    def __init__(self, task: Callable[[int], T]) -> None:
-        self.task = task
-
-    def __call__(self, index: int) -> T:
-        try:
-            return self.task(index)
-        except Exception as error:
-            raise TrialExecutionError(
-                index, f"{type(error).__name__}: {error}"
-            ) from error
-
-
-def _trial_worker(task, index, result_queue):  # pragma: no cover - subprocess
-    """Spawn target: run one trial, ship (index, ok, payload, tb) back."""
-    global _worker_heartbeat
-    _silence_worker_stdout()
-    # Open the heartbeat channel and announce liveness once, so the
-    # parent's watchdog clock starts from task entry, not spawn time.
-    _worker_heartbeat = [result_queue, index, 0.0]
-    heartbeat()
-    try:
-        result = task(index)
-    except BaseException as error:
-        result_queue.put(
-            (
-                index,
-                False,
-                f"{type(error).__name__}: {error}",
-                traceback.format_exc(),
-            )
-        )
-    else:
-        result_queue.put((index, True, result, ""))
 
 
 #: Chaos/test hook: when set, called at the top of every checkpoint
@@ -669,41 +635,316 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-class TrialExecutor:
-    """Maps picklable tasks over trial indices, serially or in a pool.
+class _Ledger:
+    """The bookkeeping both dispatch paths share for one ``map_trials``.
 
-    Attributes:
-        workers: resolved worker count.
-        backend: ``"serial"`` or ``"process"``.
-        chunk_size: trial indices dispatched per pool task; None picks
-            ~4 chunks per worker so stragglers rebalance.
+    It holds the checkpoint, the results, the trials still to run
+    (``todo``), attempts and per-attempt history, the retry backoff and
+    the deadline.  A retried trial re-enters at the front of ``todo``,
+    so a recovering trial is not starved by fresh work, and the trials
+    behind it wait out its backoff too.  Without a policy (``strict``) a
+    trial gets one attempt and its failure raises
+    :class:`TrialExecutionError`.
     """
 
     def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
+        self, indices: List[int], policy: Optional[FaultTolerance]
     ) -> None:
-        self.workers = resolve_workers(workers)
-        if backend is None:
-            backend = "process" if self.workers > 1 else "serial"
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+        started = time.monotonic()
+        self.strict = policy is None
+        self.policy = FaultTolerance(retries=0) if policy is None else policy
+        self.deadline_at = (
+            started + self.policy.deadline
+            if self.policy.deadline is not None else None
+        )
+        self.checkpoint = (
+            Checkpoint(
+                self.policy.checkpoint_path,
+                config_digest=self.policy.checkpoint_digest,
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.backend = backend
-        self.chunk_size = chunk_size
-        #: The Checkpoint of the most recent fault-tolerant map (None
-        #: otherwise) — supervisors read quarantine/write-error state.
-        self.last_checkpoint: Optional[Checkpoint] = None
+            if self.policy.checkpoint_path else None
+        )
+        self.results: Dict[int, Any] = {}
+        if self.checkpoint is not None:
+            self.results.update(
+                (index, self.checkpoint.results[index])
+                for index in indices
+                if index in self.checkpoint
+            )
+        self.todo = deque(
+            index for index in indices if index not in self.results
+        )
+        self.attempts: Dict[int, int] = {}
+        self.history: Dict[int, List[Dict[str, Any]]] = {}
+        self.ready_at: Dict[int, float] = {}
 
-    def _chunk_size(self, count: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, count // (workers * 4))
+    def expired(self) -> bool:
+        return (
+            self.deadline_at is not None
+            and time.monotonic() >= self.deadline_at
+        )
+
+    def head_delay(self) -> float:
+        """Seconds until the trial at the head of ``todo`` may start."""
+        return self.ready_at.get(self.todo[0], 0.0) - time.monotonic()
+
+    def start(self) -> int:
+        """Pop the head of ``todo`` and count an attempt for it."""
+        index = self.todo.popleft()
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        return index
+
+    def succeed(self, index: int, result: Any) -> None:
+        self.results[index] = result
+        if self.checkpoint is not None:
+            self.checkpoint.record(
+                index, result, flush_every=self.policy.checkpoint_every
+            )
+
+    def fail(
+        self, index: int, kind: str, error: str, tb: str, started: float
+    ) -> None:
+        """Record a failed attempt; schedule a retry or settle the trial."""
+        if self.strict:
+            raise TrialExecutionError(index, error)
+        attempt = self.attempts[index]
+        history = self.history.setdefault(index, [])
+        history.append({
+            "attempt": attempt,
+            "kind": kind,
+            "error": error,
+            "elapsed_s": round(time.monotonic() - started, 3),
+        })
+        if attempt <= self.policy.retries:
+            self.ready_at[index] = time.monotonic() + retry_backoff(
+                self.policy.backoff_base, self.policy.backoff_seed,
+                index, attempt,
+            )
+            self.todo.appendleft(index)
+            return
+        self.results[index] = TrialError(
+            trial=index, attempts=attempt, error=error, traceback=tb,
+            kind=kind, history=tuple(history),
+        )
+
+    def expire(self, running: Iterable[int]) -> None:
+        """The deadline passed: settle every running and waiting trial."""
+        for index in [*running, *self.todo]:
+            self.results[index] = TrialError(
+                trial=index,
+                attempts=self.attempts.get(index, 0),
+                error="deadline: campaign wall-clock budget exhausted",
+                kind="deadline",
+                history=tuple(self.history.get(index, ())),
+            )
+        self.todo.clear()
+
+
+def _run_in_process(task: Callable[[int], Any], ledger: _Ledger) -> None:
+    while ledger.todo:
+        if ledger.expired():
+            ledger.expire(())
+            return
+        delay = ledger.head_delay()
+        if delay > 0:
+            time.sleep(delay)
+            continue
+        index = ledger.start()
+        started = time.monotonic()
+        try:
+            result = task(index)
+        except Exception as error:
+            ledger.fail(
+                index, "exception", f"{type(error).__name__}: {error}",
+                traceback.format_exc(), started,
+            )
+        else:
+            ledger.succeed(index, result)
+
+
+def _worker_main(pipe, task):  # pragma: no cover - subprocess
+    """Spawn target: run each trial index the parent sends on ``pipe``.
+
+    Every trial ends in one reply, ``(ok, result_or_error, traceback)``;
+    a ``None`` message is a :func:`heartbeat`.  End-of-file — the parent
+    hung up — ends the worker.
+    """
+    global _worker_channel
+    _silence_worker_stdout()
+    _worker_channel = [pipe, 0.0]
+    with contextlib.suppress(EOFError, OSError):
+        while True:
+            index = pipe.recv()
+            try:
+                reply = (True, task(index), "")
+            except Exception as error:
+                reply = (
+                    False,
+                    f"{type(error).__name__}: {error}",
+                    traceback.format_exc(),
+                )
+            pipe.send(reply)
+
+
+class _Worker:
+    """One long-lived spawn worker and the parent's end of its pipe."""
+
+    def __init__(self, context, task: Callable[[int], Any]) -> None:
+        self.pipe, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main, args=(child, task), daemon=True
+        )
+        self.process.start()
+        # The worker now holds the only other end, so end-of-file on
+        # ours means it died.
+        child.close()
+        #: The trial in flight, or None while idle.
+        self.index: Optional[int] = None
+        self.started = self.last_beat = 0.0
+
+    def assign(self, index: int) -> None:
+        self.index = index
+        self.started = self.last_beat = time.monotonic()
+        with contextlib.suppress(OSError):  # dead already: reaped as a crash
+            self.pipe.send(index)
+
+    def drain(self) -> List[Any]:
+        """Every message a dead worker left in its pipe, in order."""
+        messages = []
+        with contextlib.suppress(EOFError, OSError):
+            while self.pipe.poll():
+                messages.append(self.pipe.recv())
+        return messages
+
+    def hang_up(self, kill: bool) -> None:
+        """Close the pipe (an idle worker then exits); ``kill`` SIGKILLs."""
+        self.pipe.close()
+        if kill:
+            self.process.kill()
+
+    def join(self) -> Optional[int]:
+        """Reap the process, killing it after a grace; its exit code."""
+        self.process.join(_JOIN_GRACE)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        return self.process.exitcode
+
+
+def _receive(worker: _Worker, message: Any, ledger: _Ledger) -> None:
+    if message is None:
+        worker.last_beat = time.monotonic()
+        return
+    ok, payload, tb = message
+    index, worker.index = worker.index, None
+    if ok:
+        ledger.succeed(index, payload)
+    else:
+        ledger.fail(index, "exception", payload, tb, worker.started)
+
+
+def _run_pool(
+    task: Callable[[int], Any], ledger: _Ledger, workers: int
+) -> None:
+    """Feed ``ledger.todo`` to up to ``workers`` long-lived workers.
+
+    A crash (sentinel or end-of-file), timeout or stall removes only
+    the worker it hit; a fresh worker replaces it when a trial is next
+    assigned.  Every worker is joined before this returns, on every
+    exit path, so ``RUSAGE_CHILDREN`` covers all of them.
+    """
+    context = multiprocessing.get_context("spawn")
+    policy = ledger.policy
+    pool: List[_Worker] = []
+
+    def retire(worker: _Worker, kill: bool) -> Optional[int]:
+        pool.remove(worker)
+        worker.hang_up(kill)
+        return worker.join()
+
+    try:
+        while ledger.todo or any(w.index is not None for w in pool):
+            if ledger.expired():
+                ledger.expire(w.index for w in pool if w.index is not None)
+                return
+            idle = [worker for worker in pool if worker.index is None]
+            while ledger.todo and ledger.head_delay() <= 0:
+                if idle:
+                    worker = idle.pop()
+                elif len(pool) < workers:
+                    worker = _Worker(context, task)
+                    pool.append(worker)
+                else:
+                    break
+                worker.assign(ledger.start())
+            handles = {}
+            for worker in pool:
+                handles[worker.pipe] = worker
+                handles[worker.process.sentinel] = worker
+            for handle in multiprocessing.connection.wait(
+                list(handles), _POLL_INTERVAL
+            ):
+                worker = handles[handle]
+                if worker.pipe.closed:  # retired earlier in this pass
+                    continue
+                if handle is worker.pipe:
+                    try:
+                        message = worker.pipe.recv()
+                    except (EOFError, OSError):
+                        pass  # the worker died
+                    else:
+                        _receive(worker, message, ledger)
+                        continue
+                # Dead: its last reply may still sit in the pipe.
+                for message in worker.drain():
+                    _receive(worker, message, ledger)
+                code = retire(worker, kill=False)
+                if worker.index is not None:
+                    ledger.fail(
+                        worker.index, "crash",
+                        f"worker crashed with exit code {code}", "",
+                        worker.started,
+                    )
+            now = time.monotonic()
+            for worker in [w for w in pool if w.index is not None]:
+                if (
+                    policy.timeout is not None
+                    and now - worker.started > policy.timeout
+                ):
+                    kind = "timeout"
+                    error = f"timeout: trial exceeded {policy.timeout:.1f}s"
+                elif (
+                    policy.heartbeat_timeout is not None
+                    and now - worker.last_beat > policy.heartbeat_timeout
+                ):
+                    kind = "stalled"
+                    error = (
+                        "stalled: no heartbeat for "
+                        f"{policy.heartbeat_timeout:.1f}s"
+                    )
+                else:
+                    continue
+                retire(worker, kill=True)
+                ledger.fail(worker.index, kind, error, "", worker.started)
+    finally:
+        for worker in pool:
+            worker.hang_up(kill=worker.index is not None)
+        for worker in pool:
+            worker.join()
+
+
+class TrialExecutor:
+    """Maps picklable tasks over trial indices, in process or on workers.
+
+    Attributes:
+        workers: resolved worker count.
+    """
+
+    def __init__(self, workers: Optional[int] = None) -> None:
+        self.workers = resolve_workers(workers)
+        #: The Checkpoint of the most recent map (None without one) —
+        #: supervisors read quarantine/write-error state off it.
+        self.last_checkpoint: Optional[Checkpoint] = None
 
     def map_trials(
         self,
@@ -719,352 +960,37 @@ class TrialExecutor:
             task: a picklable callable — a module-level function,
                 ``functools.partial`` of one, or an instance of a
                 module-level class defining ``__call__``.  Its return
-                value must be picklable on the process backend.
+                value must be picklable when workers run it.
             fault_tolerance: optional policy adding per-trial timeout,
                 retry, crash isolation and checkpoint/resume.  With a
                 policy active, trials that exhaust their retries yield
                 :class:`TrialError` records in the result list instead
-                of raising; without one, a worker exception is raised
-                as :class:`TrialExecutionError` naming the trial.
+                of raising; without one, the first failed trial — an
+                exception or a crashed worker — is raised as
+                :class:`TrialExecutionError` naming the trial.
 
         Returns:
             The task results, ordered like the input indices regardless
-            of backend or worker count.
+            of worker count.
         """
         indices = (
             list(range(trials)) if isinstance(trials, int) else list(trials)
         )
         if fault_tolerance is None:
             fault_tolerance = auto_fault_tolerance(task, indices)
-        if fault_tolerance is not None:
-            return self._map_fault_tolerant(indices, task, fault_tolerance)
-        workers = min(self.workers, len(indices))
-        wrapped = _IndexedTask(task)
-        if self.backend == "serial" or workers <= 1:
-            return [wrapped(index) for index in indices]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=workers, initializer=_silence_worker_stdout
-        ) as pool:
-            return pool.map(
-                wrapped, indices,
-                chunksize=self._chunk_size(len(indices), workers),
-            )
-
-    # -- Fault-tolerant dispatch ------------------------------------------
-
-    def _map_fault_tolerant(
-        self,
-        indices: List[int],
-        task: Callable[[int], T],
-        policy: FaultTolerance,
-    ) -> List[Union[T, TrialError]]:
-        started = time.monotonic()
-        checkpoint = (
-            Checkpoint(
-                policy.checkpoint_path,
-                config_digest=policy.checkpoint_digest,
-            )
-            if policy.checkpoint_path else None
-        )
-        #: Exposed for supervisors (the campaign engine reads quarantine
-        #: and write-degradation state off it for the failure manifest).
-        self.last_checkpoint = checkpoint
-        results: Dict[int, Any] = {}
-        if checkpoint is not None:
-            results.update(
-                (index, checkpoint.results[index])
-                for index in indices
-                if index in checkpoint
-            )
-        pending = [index for index in indices if index not in results]
-        workers = min(self.workers, len(pending)) if pending else 0
-        if pending:
-            if self.backend == "serial" or workers <= 1:
-                self._run_serial_tolerant(
-                    pending, task, policy, results, checkpoint, started
-                )
-            else:
-                self._run_supervised(
-                    pending, task, policy, results, checkpoint, workers,
-                    started,
-                )
-        if checkpoint is not None:
-            checkpoint.flush()
-        return [results[index] for index in indices]
-
-    def _deadline_error(self, index: int, attempts: int,
-                        history: tuple = ()) -> TrialError:
-        return TrialError(
-            trial=index,
-            attempts=attempts,
-            error="deadline: campaign wall-clock budget exhausted",
-            kind="deadline",
-            history=history,
-        )
-
-    def _run_serial_tolerant(
-        self, pending, task, policy, results, checkpoint, started
-    ) -> None:
-        """In-process fallback: retries and checkpointing, no preemption.
-
-        ``timeout`` and ``heartbeat_timeout`` cannot preempt a trial on
-        this backend; ``deadline`` is honoured between trials and
-        between retries.
-        """
-        deadline_at = (
-            started + policy.deadline if policy.deadline is not None else None
-        )
-        for position, index in enumerate(pending):
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                for skipped in pending[position:]:
-                    self._finish_trial(
-                        skipped, self._deadline_error(skipped, 0),
-                        results, checkpoint, policy,
-                    )
-                return
-            attempts = 0
-            history: List[Dict[str, Any]] = []
-            trial_started = time.monotonic()
-            while True:
-                attempts += 1
-                try:
-                    outcome = task(index)
-                except Exception as error:
-                    history.append({
-                        "attempt": attempts,
-                        "kind": "exception",
-                        "error": f"{type(error).__name__}: {error}",
-                        "elapsed_s": round(
-                            time.monotonic() - trial_started, 3
-                        ),
-                    })
-                    if attempts <= policy.retries:
-                        delay = retry_backoff(
-                            policy.backoff_base, policy.backoff_seed,
-                            index, attempts,
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            outcome = self._deadline_error(
-                                index, attempts, tuple(history)
-                            )
-                            break
-                        continue
-                    outcome = TrialError(
-                        trial=index,
-                        attempts=attempts,
-                        error=f"{type(error).__name__}: {error}",
-                        traceback=traceback.format_exc(),
-                        kind="exception",
-                        history=tuple(history),
-                    )
-                break
-            self._finish_trial(index, outcome, results, checkpoint, policy)
-
-    def _run_supervised(
-        self, pending, task, policy, results, checkpoint, workers, started
-    ) -> None:
-        """One supervised spawn process per trial, ``workers`` at a time.
-
-        Unlike a shared pool, a crashed or hung worker here is *one
-        process* whose exit code and runtime the parent watches — so a
-        ``SIGKILL`` mid-trial, an OOM kill or an infinite loop costs one
-        attempt of one trial, never the sweep.  Workers report progress
-        heartbeats over the result queue; with ``heartbeat_timeout``
-        set, a silent-but-alive worker (a stalled shard) is killed and
-        retried like a hung one.  ``deadline`` bounds the whole call:
-        on expiry every unfinished trial is recorded as
-        ``kind="deadline"`` and the loop stops.
-        """
-        context = multiprocessing.get_context("spawn")
-        result_queue = context.Queue()
-        todo = deque(pending)
-        running: Dict[int, Dict[str, Any]] = {}
-        attempts: Dict[int, int] = {}
-        history: Dict[int, List[Dict[str, Any]]] = {}
-        ready_at: Dict[int, float] = {}
-        deadline_at = (
-            started + policy.deadline if policy.deadline is not None else None
-        )
-
-        def launch(index: int) -> None:
-            attempts[index] = attempts.get(index, 0) + 1
-            process = context.Process(
-                target=_trial_worker,
-                args=(task, index, result_queue),
-                daemon=True,
-            )
-            process.start()
-            now = time.monotonic()
-            running[index] = {
-                "process": process,
-                "started": now,
-                "last_beat": now,
-                "dead_since": None,
-            }
-
-        def retire(index: int, outcome: Any) -> None:
-            state = running.pop(index)
-            state["process"].join(timeout=_CRASH_GRACE)
-            self._finish_trial(index, outcome, results, checkpoint, policy)
-
-        def kill(process) -> None:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_CRASH_GRACE)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=_CRASH_GRACE)
-
-        def retry_or_fail(
-            index: int, error: str, tb: str = "", kind: str = "exception"
-        ) -> None:
-            state = running.pop(index)
-            kill(state["process"])
-            history.setdefault(index, []).append({
-                "attempt": attempts[index],
-                "kind": kind,
-                "error": error,
-                "elapsed_s": round(time.monotonic() - state["started"], 3),
-            })
-            if attempts[index] <= policy.retries:
-                delay = retry_backoff(
-                    policy.backoff_base, policy.backoff_seed,
-                    index, attempts[index],
-                )
-                ready_at[index] = time.monotonic() + delay
-                todo.appendleft(index)
-            else:
-                self._finish_trial(
-                    index,
-                    TrialError(
-                        trial=index,
-                        attempts=attempts[index],
-                        error=error,
-                        traceback=tb,
-                        kind=kind,
-                        history=tuple(history.get(index, ())),
-                    ),
-                    results, checkpoint, policy,
-                )
-
-        def expire_deadline() -> None:
-            """Kill everything in flight; record all unfinished trials."""
-            for index in list(running):
-                state = running.pop(index)
-                kill(state["process"])
-                self._finish_trial(
-                    index,
-                    self._deadline_error(
-                        index, attempts.get(index, 0),
-                        tuple(history.get(index, ())),
-                    ),
-                    results, checkpoint, policy,
-                )
-            while todo:
-                index = todo.popleft()
-                self._finish_trial(
-                    index,
-                    self._deadline_error(
-                        index, attempts.get(index, 0),
-                        tuple(history.get(index, ())),
-                    ),
-                    results, checkpoint, policy,
-                )
-
-        try:
-            while todo or running:
-                if (
-                    deadline_at is not None
-                    and time.monotonic() >= deadline_at
-                ):
-                    expire_deadline()
-                    break
-                while todo and len(running) < workers:
-                    # The head of the queue may be backing off; trials
-                    # behind it wait too (retries go to the front so a
-                    # recovering shard is not starved by fresh work).
-                    if ready_at.get(todo[0], 0.0) > time.monotonic():
-                        break
-                    launch(todo.popleft())
-                try:
-                    message = result_queue.get(timeout=_POLL_INTERVAL)
-                except queue_module.Empty:
-                    message = None
-                if message is not None:
-                    index, ok, payload, tb = message
-                    if index in running:
-                        if ok == _HEARTBEAT:
-                            running[index]["last_beat"] = time.monotonic()
-                        elif ok:
-                            retire(index, payload)
-                        else:
-                            retry_or_fail(index, payload, tb)
-                    continue  # drain before supervising
-                now = time.monotonic()
-                for index in list(running):
-                    state = running[index]
-                    process = state["process"]
-                    if (
-                        policy.timeout is not None
-                        and now - state["started"] > policy.timeout
-                        and process.is_alive()
-                    ):
-                        retry_or_fail(
-                            index,
-                            f"timeout: trial exceeded {policy.timeout:.1f}s",
-                            kind="timeout",
-                        )
-                        continue
-                    if (
-                        policy.heartbeat_timeout is not None
-                        and now - state["last_beat"]
-                        > policy.heartbeat_timeout
-                        and process.is_alive()
-                    ):
-                        retry_or_fail(
-                            index,
-                            "stalled: no heartbeat for "
-                            f"{policy.heartbeat_timeout:.1f}s",
-                            kind="stalled",
-                        )
-                        continue
-                    if not process.is_alive():
-                        # Dead without a result *yet* — allow the queue
-                        # feeder a grace period before declaring a crash.
-                        if state["dead_since"] is None:
-                            state["dead_since"] = now
-                        elif now - state["dead_since"] > _CRASH_GRACE:
-                            retry_or_fail(
-                                index,
-                                "worker crashed with exit code "
-                                f"{process.exitcode}",
-                                kind="crash",
-                            )
-        finally:
-            for state in running.values():
-                process = state["process"]
-                if process.is_alive():
-                    process.terminate()
-            result_queue.close()
-            result_queue.join_thread()
-
-    def _finish_trial(self, index, outcome, results, checkpoint, policy):
-        results[index] = outcome
-        if checkpoint is not None and not isinstance(outcome, TrialError):
-            checkpoint.record(
-                index, outcome, flush_every=policy.checkpoint_every
-            )
+        ledger = _Ledger(indices, fault_tolerance)
+        self.last_checkpoint = ledger.checkpoint
+        workers = min(self.workers, len(ledger.todo))
+        if workers <= 1:
+            _run_in_process(task, ledger)
+        else:
+            _run_pool(task, ledger, workers)
+        if ledger.checkpoint is not None:
+            ledger.checkpoint.flush()
+        return [ledger.results[index] for index in indices]
 
     def __repr__(self) -> str:
-        return (
-            f"TrialExecutor(workers={self.workers}, backend={self.backend!r})"
-        )
+        return f"TrialExecutor(workers={self.workers})"
 
 
 def map_trials(

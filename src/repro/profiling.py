@@ -193,8 +193,9 @@ def peak_rss_kb(include_children: bool = False) -> int:
     A high-water mark maintained by the kernel (``ru_maxrss``), so
     reading it costs one syscall and never perturbs the hot path.
     With ``include_children``, the max over *waited-for* child
-    processes (spawn workers the pool has joined) is folded in —
-    the figure that bounds a multi-worker campaign.
+    processes (spawn workers, which the executor joins before
+    ``map_trials`` returns) is folded in — the figure that bounds a
+    multi-worker campaign.
 
     Returns 0 on platforms without :mod:`resource` (Windows).
     """

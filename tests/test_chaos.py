@@ -3,10 +3,15 @@
 The expensive process-fault scenarios (worker-kill, stalled-shard) run
 in the nightly ``slow`` job; the serial scenarios run in tier 1 — they
 are the same code paths the ``repro verify`` chaos section exercises.
+One cheap process fault also runs in tier 1: a worker SIGKILLed while
+it floods its pipe with heartbeats.
 """
 
 import errno
 import os
+import signal
+import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -22,7 +27,40 @@ from repro.chaos import (
     truncate_bytes,
     verify_section,
 )
-from repro.experiments.executor import Checkpoint
+from repro.experiments import executor
+from repro.experiments.executor import (
+    Checkpoint,
+    FaultTolerance,
+    TrialExecutor,
+    heartbeat,
+)
+from repro.simkernel.randomstream import RandomStreams
+
+
+def _seeded_draw(index):
+    return RandomStreams(index).stream("task").random()
+
+
+@dataclass(frozen=True)
+class _KilledWhileBeating:
+    """On its first run, ``victim`` heartbeats unthrottled until a timer
+    SIGKILLs its worker, so the kill lands mid-beat on a busy pipe."""
+
+    marker_dir: str
+    victim: int
+
+    def __call__(self, index: int) -> float:
+        marker = os.path.join(self.marker_dir, "killed")
+        if index == self.victim and not os.path.exists(marker):
+            with open(marker, "w"):
+                pass
+            executor._HEARTBEAT_INTERVAL = 0
+            threading.Timer(
+                0.5, os.kill, (os.getpid(), signal.SIGKILL)
+            ).start()
+            while True:
+                heartbeat()
+        return _seeded_draw(index)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +189,16 @@ def test_process_fault_scenarios_pass(tmp_path, name):
     result = run_scenario(name, workdir=str(tmp_path))
     assert result.passed, result.detail
     assert result.mode == "recovered"
+
+
+def test_sigkill_while_heartbeating_retries_only_the_victim(tmp_path):
+    task = _KilledWhileBeating(marker_dir=str(tmp_path), victim=2)
+    results = TrialExecutor(workers=2).map_trials(
+        6, task,
+        fault_tolerance=FaultTolerance(retries=1, heartbeat_timeout=30.0),
+    )
+    assert os.path.exists(os.path.join(str(tmp_path), "killed"))
+    assert results == [_seeded_draw(index) for index in range(6)]
 
 
 def test_scenario_failure_is_reported_not_raised(monkeypatch):

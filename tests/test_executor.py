@@ -82,16 +82,6 @@ def test_cli_rejects_bad_worker_count_cleanly(capsys):
     assert "worker count must be >= 1" in captured.err
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        TrialExecutor(workers=1, backend="threads")
-
-
-def test_backend_defaults_follow_worker_count():
-    assert TrialExecutor(workers=1).backend == "serial"
-    assert TrialExecutor(workers=2).backend == "process"
-
-
 # ---------------------------------------------------------------------------
 # Mapping semantics
 # ---------------------------------------------------------------------------

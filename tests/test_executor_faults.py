@@ -2,16 +2,23 @@
 
 Covers the indexed wrapping of worker exceptions (every failure names
 its trial), the retry/timeout/crash-isolation semantics of supervised
-dispatch, and checkpoint/resume.  All tasks are module-level dataclasses
-so they pickle across the spawn boundary.
+dispatch, the worker pool's design (long-lived workers, a crash costing
+only its own trial, no worker outliving the map), and checkpoint/resume.
+All tasks are module-level dataclasses so they pickle across the spawn
+boundary.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -76,8 +83,8 @@ class _FailOnce:
 class _CrashOnce:
     """SIGKILLs its own worker on the first attempt for one index.
 
-    Only meaningful on the supervised process backend — a serial run
-    would kill the test process.
+    Only meaningful on the worker pool — run in process it would kill
+    the test process.
     """
 
     marker_dir: str
@@ -111,6 +118,34 @@ class _Hang:
         if index == self.bad:
             time.sleep(60)
         return index * index
+
+
+def _worker_pid(index):
+    return os.getpid()
+
+
+@dataclass(frozen=True)
+class _CountedCrash:
+    """Counts each run of each index on disk; ``victim`` SIGKILLs its
+    worker on its first run, once another trial is in flight."""
+
+    marker_dir: str
+    victim: int
+
+    def __call__(self, index: int) -> int:
+        path = os.path.join(self.marker_dir, f"runs-{index}")
+        with open(path, "a") as handle:
+            handle.write("x")
+        if index == self.victim and os.path.getsize(path) == 1:
+            deadline = time.monotonic() + 10
+            while (
+                len(os.listdir(self.marker_dir)) < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.5)
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +279,80 @@ def test_supervised_preserves_order():
         6, _square, fault_tolerance=FaultTolerance()
     )
     assert results == [index * index for index in range(6)]
+
+
+# ---------------------------------------------------------------------------
+# Worker pool: long-lived workers, one pipe each
+# ---------------------------------------------------------------------------
+
+def test_unsupervised_crash_raises_instead_of_hanging():
+    # Without a policy a SIGKILLed worker must still end the map with an
+    # error naming the trial.  Run in a child interpreter so that a hang
+    # fails the test at the timeout instead of stalling the suite.
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent("""
+        from repro.experiments.executor import (
+            TrialExecutionError, TrialExecutor,
+        )
+        from tests.test_executor_faults import _CrashAlways
+
+        if __name__ == "__main__":
+            try:
+                TrialExecutor(workers=2).map_trials(4, _CrashAlways(bad=1))
+            except TrialExecutionError as error:
+                print(error.trial)
+                print(error.details)
+    """)
+    path = os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], cwd=str(root),
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    trial, details = completed.stdout.splitlines()
+    assert trial == "1"
+    assert "crashed" in details and "-9" in details
+
+
+def test_pool_reuses_long_lived_workers():
+    results = TrialExecutor(workers=2).map_trials(
+        8, _worker_pid, fault_tolerance=FaultTolerance()
+    )
+    assert len(set(results)) <= 2
+    assert os.getpid() not in results
+
+
+def test_worker_kill_does_not_rerun_other_workers_trials(tmp_path):
+    task = _CountedCrash(marker_dir=str(tmp_path), victim=1)
+    results = TrialExecutor(workers=2).map_trials(
+        4, task, fault_tolerance=FaultTolerance(retries=1)
+    )
+    assert results == [0, 1, 2, 3]
+    runs = {
+        index: (tmp_path / f"runs-{index}").read_text()
+        for index in range(4)
+    }
+    assert runs == {0: "x", 1: "xx", 2: "x", 3: "x"}
+
+
+def test_no_worker_outlives_map_trials():
+    executor = TrialExecutor(workers=2)
+    assert executor.map_trials(4, _square) == [0, 1, 4, 9]
+    assert multiprocessing.active_children() == []
+    crashed = executor.map_trials(
+        3, _CrashAlways(bad=1), fault_tolerance=FaultTolerance(retries=0)
+    )
+    assert isinstance(crashed[1], TrialError)
+    assert multiprocessing.active_children() == []
+    timed_out = executor.map_trials(
+        [0, 1], _Hang(bad=1),
+        fault_tolerance=FaultTolerance(timeout=1.0, retries=0),
+    )
+    assert timed_out[1].kind == "timeout"
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
