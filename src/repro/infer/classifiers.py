@@ -8,14 +8,28 @@ runtime dependencies — alongside the paper's exact-match baseline,
 so the frontier table compares the attack the paper ran against the
 attack it did not.
 
+A study fits one model per defense level, all on the same labels, so
+the interface also has the classmethod ``fit_levels(models, stack,
+labels)``, which fits ``models[l]`` on ``stack[l]``.  Its default
+loops ``fit``.  The logistic model overrides it to train every level
+as one stacked array program over the (level, sample, feature) stack,
+and its ``fit`` is the one-level case of that program.
+
 Determinism contract:
 
 * a classifier is constructed from an integer seed only; fitting the
   same data with the same seed yields a bit-identical model (pinned by
-  ``model_digest()``, a SHA-256 over the canonical parameter bytes);
+  ``model_digest()``, a SHA-256 over the canonical parameter bytes),
+  whether the model is fit alone or stacked with other levels;
 * every matrix product goes through ``np.einsum`` rather than BLAS
   ``dot`` — einsum's fixed-order reduction loops are reproducible
-  across numpy builds, where a threaded BLAS dgemm need not be;
+  across numpy builds, where a threaded BLAS dgemm need not be.  The
+  stacked subscripts ``lnf,lfc->lnc`` and ``lnf,lnc->lfc`` only add a
+  leading level axis: every output element still accumulates its
+  contracted index sequentially, in the order of the one-level
+  ``nf,fc->nc`` and ``nf,nc->fc``, and every other reduction runs over
+  the sample or class axis of one level.  The tests pin a stacked fit
+  against the one-level loop it replaced;
 * ties break toward the smallest label everywhere.
 
 Registering a new classifier::
@@ -55,6 +69,22 @@ class Classifier:
     def predict(self, features: Sequence[Sequence[int]]) -> List[int]:
         raise NotImplementedError
 
+    @classmethod
+    def fit_levels(
+        cls,
+        models: Sequence["Classifier"],
+        stack: Sequence[Sequence[Sequence[int]]],
+        labels: Sequence[int],
+    ) -> None:
+        """Fit ``models[l]`` on the feature matrix ``stack[l]``.
+
+        Every level trains on the same ``labels``.  The default fits
+        each model in turn; a subclass may fit the whole stack at once,
+        provided each model ends bit-identical to its own ``fit``.
+        """
+        for model, features in zip(models, stack, strict=True):
+            model.fit(features, labels)
+
     def model_digest(self) -> str:
         """SHA-256 over the canonical bytes of the fitted parameters."""
         digest = hashlib.sha256()
@@ -79,9 +109,14 @@ def _as_matrix(features: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _standardize_stats(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    scale = np.sqrt((centered * centered).mean(axis=0))
+    """Per-column mean and scale over the sample axis (``-2``).
+
+    Takes one (N, F) matrix or an (L, N, F) stack of them; a column of
+    zero variance gets scale 1.
+    """
+    mean = matrix.mean(axis=-2)
+    centered = matrix - mean[..., None, :]
+    scale = np.sqrt((centered * centered).mean(axis=-2))
     scale[scale == 0.0] = 1.0
     return mean, scale
 
@@ -243,9 +278,17 @@ class LogisticClassifier(Classifier):
     Weights initialise from the classifier's seeded
     :class:`~repro.simkernel.randomstream.CounterStream` draws, computed
     in one array pass (so the seed genuinely enters the model), then
-    take ``EPOCHS`` deterministic
-    gradient steps.  All reductions run through einsum/np.sum pairwise
-    loops — same floats on every run and worker.
+    take ``EPOCHS`` deterministic gradient steps.
+
+    :meth:`fit_levels` trains L models on the same labels as one
+    stacked program over an (L, N, F) feature stack: standardization
+    per level, each level's initial weights from its own seed, one
+    one-hot matrix shared by all levels, and one epoch loop of batched
+    einsum products with the softmax reductions over the class axis.
+    :meth:`fit` is its one-level case, so there is one gradient-descent
+    loop.  All reductions run through einsum/np.sum loops whose order
+    does not depend on L — same floats on every run and worker, alone
+    or stacked.
     """
 
     name = "logistic"
@@ -262,33 +305,40 @@ class LogisticClassifier(Classifier):
         self._bias = np.zeros(0)
 
     def fit(self, features, labels) -> "LogisticClassifier":
-        matrix = _as_matrix(features)
-        label_array = np.asarray(labels, dtype=np.int64)
-        self._mean, self._scale = _standardize_stats(matrix)
-        scaled = (matrix - self._mean) / self._scale
-        self._labels = np.unique(label_array)
-        classes = len(self._labels)
-        label_index = {int(label): i for i, label in enumerate(self._labels)}
-        one_hot = np.zeros((len(label_array), classes))
-        for row, label in enumerate(label_array):
-            one_hot[row, label_index[int(label)]] = 1.0
-
-        weights = self._initial_weights(scaled.shape[1], classes)
-        bias = np.zeros(classes)
-        samples = float(len(label_array))
-        for _ in range(self.EPOCHS):
-            logits = np.einsum("nf,fc->nc", scaled, weights) + bias
-            logits -= logits.max(axis=1, keepdims=True)
-            exp = np.exp(logits)
-            probabilities = exp / exp.sum(axis=1, keepdims=True)
-            error = (probabilities - one_hot) / samples
-            gradient_w = np.einsum("nf,nc->fc", scaled, error)
-            gradient_b = error.sum(axis=0)
-            weights -= self.LEARNING_RATE * gradient_w
-            bias -= self.LEARNING_RATE * gradient_b
-        self._weights = weights
-        self._bias = bias
+        self.fit_levels([self], _as_matrix(features)[None], labels)
         return self
+
+    @classmethod
+    def fit_levels(cls, models, stack, labels) -> None:
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.ndim != 3 or len(stack) != len(models):
+            raise ValueError("stack must hold one 2-D feature batch per model")
+        mean, scale = _standardize_stats(stack)
+        scaled = (stack - mean[:, None]) / scale[:, None]
+        label_array = np.asarray(labels, dtype=np.int64)
+        classes, label_index = np.unique(label_array, return_inverse=True)
+        one_hot = np.eye(len(classes))[label_index]
+
+        weights = np.stack([
+            model._initial_weights(stack.shape[2], len(classes))
+            for model in models
+        ])
+        bias = np.zeros((len(models), len(classes)))
+        samples = float(len(label_array))
+        for _ in range(cls.EPOCHS):
+            logits = np.einsum("lnf,lfc->lnc", scaled, weights) + bias[:, None]
+            logits -= logits.max(axis=2, keepdims=True)
+            exp = np.exp(logits)
+            probabilities = exp / exp.sum(axis=2, keepdims=True)
+            error = (probabilities - one_hot) / samples
+            gradient_w = np.einsum("lnf,lnc->lfc", scaled, error)
+            gradient_b = error.sum(axis=1)
+            weights -= cls.LEARNING_RATE * gradient_w
+            bias -= cls.LEARNING_RATE * gradient_b
+        for level, model in enumerate(models):
+            model._mean, model._scale = mean[level], scale[level]
+            model._labels = classes
+            model._weights, model._bias = weights[level], bias[level]
 
     def _initial_weights(self, n_features: int, classes: int) -> np.ndarray:
         """Uniform weights in ±``INIT_SCALE`` from the seed's counter stream.

@@ -20,11 +20,13 @@ Every observation draws from its own counter stream named by
 sessions or reps reproduces identical observations — the property that
 makes shard/worker/resume slicing bit-stable.  Because a counter
 stream's draw ``i`` is a closed form of ``(seed, i)``, :func:`observe`
-builds all observations of one (session, level) as one batch: the few
+builds all observations of one (session, level) at once: the few
 data-dependent draws run per stream, the two timing draws per record
-run as one array pass, and the result is the flat
-:class:`~repro.infer.features.ObservationBatch` the numpy feature
-kernel reads.
+run as one array pass, and the result is a flat
+:class:`~repro.infer.features.ObservationBatch`.
+:func:`evaluate_session` joins every level's batch into one
+observation batch per session, so one call to the numpy feature kernel
+covers the whole session, and each classifier fits all levels at once.
 
 The attacker trains on its own seeded fetches (role ``train``) and
 classifies the victim's (role ``victim``); both see the same
@@ -99,6 +101,16 @@ class StudyDesign:
         for knob in ("gap_base_us", "gap_jitter_us", "pause_us", "mux_max_inserts"):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be non-negative")
+        if not self.levels:
+            raise ValueError("need at least one defense level")
+        # Summaries key their counters by name: a repeated name would
+        # fold one cell once per repeat.
+        for axis, names in (
+            ("defense level", self.levels), ("classifier", self.classifiers)
+        ):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"repeated {axis} name(s): {', '.join(repeated)}")
         for name in self.levels:
             defense_level(name)  # validates early, worker-side errors are ugly
         for name in self.classifiers:
@@ -245,6 +257,12 @@ def level_overhead(
 def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
     """The full frontier of one page: every level × every classifier.
 
+    One session is one array program.  Every level is observed first,
+    one feature pass covers the concatenated observation batch, and
+    each classifier fits all levels' models in one
+    :meth:`~repro.infer.classifiers.Classifier.fit_levels` call on the
+    (level, sample, feature) stack.
+
     Returns a plain-JSON dict (checkpointable) of integer counters —
     see :class:`repro.infer.summary.InferSummary.fold` for the shape.
     """
@@ -262,10 +280,14 @@ def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
         "objects": count,
         "levels": {},
     }
-    for level_name in design.levels:
-        level = defense_level(level_name)
-        defended = [defended_wire_records(rec, level) for rec in plaintext]
-        train_labels = [obj for obj in labels for _ in range(design.reps)]
+    train_labels = [obj for obj in labels for _ in range(design.reps)]
+    levels = [defense_level(name) for name in design.levels]
+    defended = [
+        [defended_wire_records(rec, level) for rec in plaintext]
+        for level in levels
+    ]
+    batches = []
+    for level, records in zip(levels, defended):
         streams = [
             observation_stream(design, "train", level, session, obj, rep)
             for obj in labels
@@ -274,26 +296,39 @@ def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
             observation_stream(design, "victim", level, session, obj, 0)
             for obj in labels
         ]
-        batch = observe(train_labels + labels, streams, defended, level, design)
-        features = extract_features_auto(batch, design.features)
-        train_features = features[: len(train_labels)]
-        victim_features = features[len(train_labels):]
-        correct: Dict[str, int] = {}
-        for classifier_name in design.classifiers:
-            classifier_seed = counter_stream_base(
+        batches.append(
+            observe(train_labels + labels, streams, records, level, design)
+        )
+    batch = ObservationBatch(*map(np.concatenate, zip(*batches)))
+    features = extract_features_auto(batch, design.features).reshape(
+        len(levels), len(train_labels) + count, -1
+    )
+    train_features = features[:, : len(train_labels)]
+    victim_features = features[:, len(train_labels):]
+
+    correct: List[Dict[str, int]] = [{} for _ in levels]
+    for classifier_name in design.classifiers:
+        models = [
+            resolve_classifier(classifier_name, counter_stream_base(
                 design.seed,
                 f"infer/clf/{level.name}/s{session}/{classifier_name}",
-            )
-            model = resolve_classifier(classifier_name, classifier_seed)
-            model.fit(train_features, train_labels)
-            predictions = model.predict(victim_features)
-            correct[classifier_name] = sum(
+            ))
+            for level in levels
+        ]
+        type(models[0]).fit_levels(models, train_features, train_labels)
+        for model, victims, level_correct in zip(models, victim_features, correct):
+            predictions = model.predict(victims)
+            level_correct[classifier_name] = sum(
                 1 for predicted, truth in zip(predictions, labels)
                 if predicted == truth
             )
-        overhead = level_overhead(base_wire, defended, level, design)
+
+    for level_name, level, records, level_correct in zip(
+        design.levels, levels, defended, correct
+    ):
+        overhead = level_overhead(base_wire, records, level, design)
         entry = overhead.to_json()
-        entry["classifiers"] = correct
+        entry["classifiers"] = level_correct
         result["levels"][level_name] = entry
-        heartbeat()
+    heartbeat()
     return result

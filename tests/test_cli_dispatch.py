@@ -188,6 +188,27 @@ def test_infer_unknown_defense_exits_2(capsys):
     assert "nosuch" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["infer", "--sessions", "4", "--shard-size", "2",
+     "--defenses", "off,off", "--classifiers", "exact,exact"],
+    ["infer", "--sessions", "4", "--shard-size", "2", "--defenses", ","],
+    ["infer-study", "--trials", "2", "--defenses", "off,off"],
+    ["infer-study", "--trials", "2", "--defenses", ","],
+    ["infer-study", "--trials", "2", "--classifiers", "knn,knn"],
+], ids=["infer-repeated", "infer-empty", "study-repeated-level",
+        "study-empty", "study-repeated-classifier"])
+def test_infer_repeated_or_empty_axes_exit_2(capsys, argv):
+    # Rejected before any session runs: nothing reaches stdout.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit_:  # parser.error in infer-study
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "repro: " in captured.err
+    assert captured.out == ""
+
+
 def test_robustness_study_smoke(capsys):
     code, out = _smoke(capsys, ["robustness-study", "--quick",
                                 "--trials", "1", "--workers", "1"])

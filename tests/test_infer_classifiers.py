@@ -5,10 +5,16 @@ classifier on the same data with the same seed must produce the same
 digest on every machine and worker, because the digest hashes the raw
 parameter bytes.  The learning checks are intentionally easy — cleanly
 separable toy classes — because the point is wiring, not benchmarking.
+
+The logistic model fits every defense level as one stacked program.
+The one-level loop it replaced is kept here as the reference, and
+Hypothesis demands the same model bytes from both for every level.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.infer.classifiers import (
     CLASSIFIER_REGISTRY,
@@ -18,6 +24,7 @@ from repro.infer.classifiers import (
     classifier_names,
     resolve_classifier,
 )
+from repro.infer.features import FeatureConfig, feature_length
 from repro.simkernel.randomstream import CounterStream
 
 
@@ -107,6 +114,109 @@ def test_vectorized_logistic_init_matches_scalar_loop(seed):
     vector = LogisticClassifier(seed).fit(rows, labels)
     scalar = ScalarInitLogistic(seed).fit(rows, labels)
     assert vector.model_digest() == scalar.model_digest()
+
+
+# -- stacked fits --------------------------------------------------------
+
+class ReferenceLogistic(LogisticClassifier):
+    """Reference: the one-level gradient-descent loop, before stacking."""
+
+    def fit(self, features, labels):
+        matrix = np.asarray(features, dtype=np.float64)
+        label_array = np.asarray(labels, dtype=np.int64)
+        self._mean = matrix.mean(axis=0)
+        centered = matrix - self._mean
+        self._scale = np.sqrt((centered * centered).mean(axis=0))
+        self._scale[self._scale == 0.0] = 1.0
+        scaled = (matrix - self._mean) / self._scale
+        self._labels = np.unique(label_array)
+        classes = len(self._labels)
+        label_index = {int(label): i for i, label in enumerate(self._labels)}
+        one_hot = np.zeros((len(label_array), classes))
+        for row, label in enumerate(label_array):
+            one_hot[row, label_index[int(label)]] = 1.0
+
+        weights = self._initial_weights(scaled.shape[1], classes)
+        bias = np.zeros(classes)
+        samples = float(len(label_array))
+        for _ in range(self.EPOCHS):
+            logits = np.einsum("nf,fc->nc", scaled, weights) + bias
+            logits -= logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            probabilities = exp / exp.sum(axis=1, keepdims=True)
+            error = (probabilities - one_hot) / samples
+            gradient_w = np.einsum("nf,nc->fc", scaled, error)
+            gradient_b = error.sum(axis=0)
+            weights -= self.LEARNING_RATE * gradient_w
+            bias -= self.LEARNING_RATE * gradient_b
+        self._weights = weights
+        self._bias = bias
+        return self
+
+
+SEEDS = st.integers(-(2**63), 2**64 + 2**20) | st.sampled_from(
+    [-1, -(2**63) - 5, 2**64, 2**64 + 99, 7 * 2**70 + 3]
+)
+
+
+@st.composite
+def level_stacks(draw):
+    """(stack, labels, seeds): an (L, N, F) int64 stack sharing labels.
+
+    Every label value occurs at least once; some columns are constant
+    within a level (zero variance).
+    """
+    levels = draw(st.integers(1, 6))
+    samples = draw(st.integers(2, 24))
+    classes = draw(st.integers(2, min(8, samples)))
+    width = draw(st.sampled_from([feature_length(FeatureConfig()), 1, 2, 5]))
+    values = draw(st.lists(
+        st.integers(-50, 10**6), min_size=classes, max_size=classes,
+        unique=True,
+    ))
+    extra = draw(st.lists(
+        st.sampled_from(values),
+        min_size=samples - classes, max_size=samples - classes,
+    ))
+    labels = draw(st.permutations(values + extra))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([2, 50, 5_000, 2_000_000]))
+    stack = rng.integers(0, high, size=(levels, samples, width))
+    constant = draw(st.sets(st.integers(0, width - 1), max_size=width))
+    for column in constant:
+        stack[:, :, column] = stack[:, :1, column]
+    seeds = draw(st.lists(SEEDS, min_size=levels, max_size=levels))
+    return stack, labels, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_stacks())
+@example((np.zeros((2, 3, 4), dtype=np.int64), [5, 1, 5], [0, -1]))
+def test_stacked_logistic_fit_matches_one_level_loop(case):
+    stack, labels, seeds = case
+    models = [LogisticClassifier(seed) for seed in seeds]
+    LogisticClassifier.fit_levels(models, stack, labels)
+    for model, features, seed in zip(models, stack, seeds):
+        reference = ReferenceLogistic(seed).fit(features, labels)
+        assert model.model_digest() == reference.model_digest()
+        probes = np.concatenate([features, stack[0][::-1] + 1])
+        assert model.predict(probes) == reference.predict(probes)
+        # The one-level fit is the same program.
+        alone = LogisticClassifier(seed).fit(features, labels)
+        assert alone.model_digest() == reference.model_digest()
+
+
+@pytest.mark.parametrize("name", classifier_names())
+def test_fit_levels_equals_fitting_each_level(name):
+    rows, labels = _toy_data(classes=4)
+    stack = np.stack([np.asarray(rows), np.asarray(rows) * 3 + 11])
+    models = [resolve_classifier(name, seed) for seed in (4, 9)]
+    type(models[0]).fit_levels(models, stack, labels)
+    for model, features in zip(models, stack):
+        alone = resolve_classifier(name, model.seed).fit(features, labels)
+        assert model.model_digest() == alone.model_digest()
+    with pytest.raises(ValueError):
+        type(models[0]).fit_levels(models[:1], stack, labels)
 
 
 # -- learning sanity -----------------------------------------------------

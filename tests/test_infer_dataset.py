@@ -138,3 +138,16 @@ def test_study_design_rejects_negative_timing_knobs(knob):
     # or insert ceiling is an empty draw range.
     with pytest.raises(ValueError, match=knob):
         StudyDesign(**{knob: -1})
+
+
+@pytest.mark.parametrize("axes, message", [
+    ({"levels": ()}, "at least one defense level"),
+    ({"levels": ("off", "off")}, "repeated defense level name.*off"),
+    ({"levels": ("pad1k", "off", "pad1k")}, "repeated defense level name.*pad1k"),
+    ({"classifiers": ("exact", "knn", "exact")}, "repeated classifier name.*exact"),
+])
+def test_study_design_rejects_empty_or_repeated_axes(axes, message):
+    # Summaries key counters by name, so a repeated name would count
+    # one cell once per repeat (accuracy above 100 %).
+    with pytest.raises(ValueError, match=message):
+        StudyDesign(**axes)

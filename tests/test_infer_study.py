@@ -8,6 +8,7 @@ beats the exact-match baseline; and the defense ladder's byte overhead
 is monotone in the actual study output.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -59,6 +60,26 @@ def test_sessions_are_independent_of_sweep_slicing():
     again = evaluate_session(2, SMALL)
     assert alone == again
     json.dumps(alone)  # plain-JSON result (checkpointable)
+
+
+@pytest.mark.parametrize("design", [
+    StudyDesign(), InferCampaignConfig().design(),
+], ids=["study", "campaign"])
+@pytest.mark.parametrize("session", [0, 7, 31])
+def test_level_entries_do_not_depend_on_the_ladder(design, session):
+    # One session fits all levels as one stack; a level's entry must
+    # not see the other levels in it, or their order.
+    full = evaluate_session(session, design)
+    ladders = [(name,) for name in design.levels]
+    ladders += [design.levels[::-1], design.levels[-2::-2]]
+    for levels in ladders:
+        part = evaluate_session(
+            session, dataclasses.replace(design, levels=levels)
+        )
+        assert part["objects"] == full["objects"]
+        assert list(part["levels"]) == list(levels)
+        for name in levels:
+            assert part["levels"][name] == full["levels"][name]
 
 
 # -- summary folding -----------------------------------------------------
