@@ -23,50 +23,49 @@ Quick start::
     result = quick_attack(trial=0)
     print(result.sequence_prediction)   # recovered party order
     print(result.sequence_truth)        # ground truth
+
+The exported names resolve on first access (PEP 562), so ``import
+repro.<module>`` — the first thing a spawned worker does — loads that
+module's own imports and not the packet stack or numpy.
 """
 
-from repro import profiling
-from repro.campaign import CampaignConfig, CampaignResult, run_campaign
-from repro.core.adversary import Adversary, AdversaryConfig
-from repro.core.sequence import SequenceAttackResult
-from repro.experiments.executor import (
-    FaultTolerance,
-    TrialError,
-    TrialExecutor,
-)
-from repro.experiments.harness import (
-    TrialConfig,
-    TrialResult,
-    TrialSummary,
-    run_trial,
-    summarize_trial,
-)
-from repro.netsim.faults import FaultSchedule
-from repro.web.workload import PopulationWorkload, VolunteerWorkload
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Adversary",
-    "AdversaryConfig",
-    "CampaignConfig",
-    "CampaignResult",
-    "FaultSchedule",
-    "FaultTolerance",
-    "SequenceAttackResult",
-    "TrialConfig",
-    "TrialError",
-    "TrialExecutor",
-    "TrialResult",
-    "TrialSummary",
-    "PopulationWorkload",
-    "VolunteerWorkload",
-    "profiling",
-    "quick_attack",
-    "run_campaign",
-    "run_trial",
-    "summarize_trial",
-]
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "Adversary": "repro.core.adversary",
+    "AdversaryConfig": "repro.core.adversary",
+    "CampaignConfig": "repro.campaign.engine",
+    "CampaignResult": "repro.campaign.engine",
+    "FaultSchedule": "repro.netsim.faults",
+    "FaultTolerance": "repro.experiments.executor",
+    "SequenceAttackResult": "repro.core.sequence",
+    "TrialConfig": "repro.experiments.harness",
+    "TrialError": "repro.experiments.executor",
+    "TrialExecutor": "repro.experiments.executor",
+    "TrialResult": "repro.experiments.harness",
+    "TrialSummary": "repro.experiments.harness",
+    "PopulationWorkload": "repro.web.workload",
+    "VolunteerWorkload": "repro.web.workload",
+    "profiling": "repro.profiling",
+    "run_campaign": "repro.campaign.engine",
+    "run_trial": "repro.experiments.harness",
+    "summarize_trial": "repro.experiments.harness",
+}
+
+__all__ = [*_EXPORTS, "quick_attack"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(_EXPORTS[name])
+    if name != "profiling":  # the one exported submodule
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
 
 
 def quick_attack(
@@ -84,6 +83,10 @@ def quick_attack(
     Returns:
         The scored :class:`~repro.core.sequence.SequenceAttackResult`.
     """
+    from repro.core.adversary import AdversaryConfig
+    from repro.experiments.harness import TrialConfig, run_trial
+    from repro.web.workload import VolunteerWorkload
+
     workload = VolunteerWorkload(seed=seed)
     config = TrialConfig(adversary=adversary or AdversaryConfig())
     outcome = run_trial(trial, workload, config)

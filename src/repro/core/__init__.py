@@ -19,48 +19,3 @@ This package contains everything the adversary is and measures:
 * :mod:`repro.core.defenses` — the priority-randomization defense
   sketched in §VII.
 """
-
-from repro.core.adversary import Adversary, AdversaryConfig
-from repro.core.analysis import PartialMultiplexingAnalyzer
-from repro.core.controller import (
-    GetCounter,
-    NetworkController,
-    RandomJitterFilter,
-    SpacingFilter,
-    TargetedDropFilter,
-    UniformDelayFilter,
-)
-from repro.core.defenses import PriorityShuffleDefense, ServerPushDefense
-from repro.core.estimator import ObjectEstimate, SizeEstimator
-from repro.core.metrics import (
-    MultiplexingReport,
-    degree_of_multiplexing,
-    instance_byte_ranges,
-)
-from repro.core.monitor import TrafficMonitor
-from repro.core.predictor import NearestNeighborClassifier, SizePredictor
-from repro.core.sequence import SequenceAttack, SequenceAttackResult
-
-__all__ = [
-    "Adversary",
-    "AdversaryConfig",
-    "GetCounter",
-    "MultiplexingReport",
-    "NearestNeighborClassifier",
-    "NetworkController",
-    "ObjectEstimate",
-    "PartialMultiplexingAnalyzer",
-    "PriorityShuffleDefense",
-    "RandomJitterFilter",
-    "SequenceAttack",
-    "SequenceAttackResult",
-    "ServerPushDefense",
-    "SizeEstimator",
-    "SizePredictor",
-    "SpacingFilter",
-    "TargetedDropFilter",
-    "TrafficMonitor",
-    "UniformDelayFilter",
-    "degree_of_multiplexing",
-    "instance_byte_ranges",
-]

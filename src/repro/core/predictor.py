@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from repro.core.estimator import ObjectEstimate
+    from repro.core.estimator import ObjectEstimate
 
 #: HTTP/2 frame header octets.
 FRAME_HEADER = 9
@@ -239,6 +240,7 @@ class SizePredictor:
         pool: Sequence[str],
     ) -> List[Tuple[ObjectEstimate, Match]]:
         """Min-error bipartite assignment of candidates to estimates."""
+        import numpy as np
         from scipy.optimize import linear_sum_assignment
 
         if not estimates:
@@ -282,6 +284,8 @@ class NearestNeighborClassifier:
         self, features: Sequence[Sequence[float]], labels: Sequence[str]
     ) -> "NearestNeighborClassifier":
         """Store the training set (standardizing features)."""
+        import numpy as np
+
         matrix = np.asarray(features, dtype=float)
         if matrix.ndim != 2 or len(matrix) != len(labels):
             raise ValueError("features must be 2-D and aligned with labels")
@@ -297,6 +301,8 @@ class NearestNeighborClassifier:
 
     def predict(self, features: Sequence[Sequence[float]]) -> List[str]:
         """Majority-vote labels for each query point."""
+        import numpy as np
+
         if self._features is None:
             raise RuntimeError("classifier not fitted")
         queries = (np.asarray(features, dtype=float) - self._mean) / self._scale
@@ -325,6 +331,8 @@ class NearestNeighborClassifier:
         (distance to the nearest positive point): larger is more
         confidently positive.
         """
+        import numpy as np
+
         if self._features is None:
             raise RuntimeError("classifier not fitted")
         queries = (np.asarray(features, dtype=float) - self._mean) / self._scale

@@ -17,25 +17,3 @@ Experiment index (see DESIGN.md §4):
 * E7  §IV-A     — :mod:`repro.experiments.delay_ablation`
 * E8  ablations — :mod:`repro.experiments.ablations`
 """
-
-from repro.experiments.executor import TrialExecutor, map_trials, resolve_workers
-from repro.experiments.harness import (
-    TrialConfig,
-    TrialResult,
-    TrialSummary,
-    run_trial,
-    summarize_result,
-    summarize_trial,
-)
-
-__all__ = [
-    "TrialConfig",
-    "TrialResult",
-    "TrialSummary",
-    "TrialExecutor",
-    "map_trials",
-    "resolve_workers",
-    "run_trial",
-    "summarize_result",
-    "summarize_trial",
-]

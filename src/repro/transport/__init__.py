@@ -24,6 +24,7 @@ are asserted unchanged by ``repro verify``.
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Dict, Optional
 
@@ -57,22 +58,19 @@ def register_transport(factory: TransportFactory) -> None:
 
 
 def get_transport(transport: Optional[str] = None) -> TransportFactory:
-    """Return the factory for the resolved transport name."""
+    """Return the factory for the resolved transport name.
+
+    Each built-in factory registers itself when its module,
+    ``repro.transport.<name>``, is imported, which happens here on the
+    first lookup.  Importing it with this package instead would close a
+    cycle: :mod:`repro.transport.tcp` imports :mod:`repro.tcp`, whose
+    connection imports :mod:`repro.transport.stream` back.
+    """
     name = resolve_transport(transport)
-    factory = _FACTORIES.get(name)
-    if factory is None:  # pragma: no cover - registration is import-time
-        raise ValueError(f"transport {name!r} has no registered factory")
-    return factory
+    if name not in _FACTORIES:
+        importlib.import_module(f"{__name__}.{name}")
+    return _FACTORIES[name]
 
-
-def _register_builtin_factories() -> None:
-    # Imported lazily-by-name to keep this module import-light; both
-    # modules register concrete factories on import.
-    from repro.transport import quic as _quic  # noqa: F401
-    from repro.transport import tcp as _tcp  # noqa: F401
-
-
-_register_builtin_factories()
 
 __all__ = [
     "MessageSpan",

@@ -8,42 +8,3 @@ party emblem images), a Firefox-like browser with pipelined requests
 and reset-and-retry behaviour, and the volunteer workload generator
 standing in for the paper's ~500 survey participants.
 """
-
-from repro.web.browser import Browser, BrowserConfig
-from repro.web.isidewith import (
-    IsideWithSite,
-    PARTIES,
-    PARTY_IMAGE_SIZES,
-    RESULT_HTML_BYTES,
-    build_isidewith_site,
-)
-from repro.web.objects import WebObject
-from repro.web.site import LoadSchedule, ScheduledRequest, Website
-from repro.web.streaming import (
-    DEFAULT_LADDER,
-    SEGMENT_DURATION,
-    StreamingPlayer,
-    StreamingSession,
-    generate_session,
-)
-from repro.web.workload import VolunteerWorkload
-
-__all__ = [
-    "Browser",
-    "BrowserConfig",
-    "DEFAULT_LADDER",
-    "SEGMENT_DURATION",
-    "StreamingPlayer",
-    "StreamingSession",
-    "generate_session",
-    "IsideWithSite",
-    "LoadSchedule",
-    "PARTIES",
-    "PARTY_IMAGE_SIZES",
-    "RESULT_HTML_BYTES",
-    "ScheduledRequest",
-    "VolunteerWorkload",
-    "WebObject",
-    "Website",
-    "build_isidewith_site",
-]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from repro.simkernel.randomstream import (
     CounterStream,
@@ -27,7 +27,9 @@ from repro.simkernel.randomstream import (
     counter_stream_base,
     counter_stream_seed,
 )
-from repro.web.isidewith import IsideWithSite, PARTIES, build_isidewith_site
+
+if TYPE_CHECKING:
+    from repro.web.isidewith import IsideWithSite
 
 
 class VolunteerWorkload:
@@ -43,6 +45,8 @@ class VolunteerWorkload:
 
     def party_order_for(self, trial: int) -> Tuple[str, ...]:
         """The (seeded) preference order of volunteer ``trial``."""
+        from repro.web.isidewith import PARTIES
+
         rng = self._master.spawn(f"trial-{trial}")
         return tuple(rng.shuffled("party-order", PARTIES))
 
@@ -52,6 +56,8 @@ class VolunteerWorkload:
 
     def session(self, trial: int) -> IsideWithSite:
         """Build the site + schedule for one volunteer session."""
+        from repro.web.isidewith import PARTIES, build_isidewith_site
+
         rng = self.trial_rng(trial)
         order = tuple(rng.shuffled("party-order", PARTIES))
         return build_isidewith_site(order, gap_noise=self.gap_noise, rng=rng)

@@ -4,12 +4,52 @@ import pytest
 
 import repro
 from repro import quick_attack
+from tests.test_import_hygiene import run_fresh
 
 
 def test_version_and_exports():
     assert repro.__version__ == "1.0.0"
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+#: Each runs in a fresh interpreter: the test process has imported
+#: everything already, which would hide a wrong name → module entry in
+#: the lazy root.
+FRESH_API_SCRIPTS = {
+    "all-resolve": """
+import repro
+for name in repro.__all__:
+    getattr(repro, name)
+""",
+    "star-import": """
+from repro import *
+import repro
+assert all(name in globals() for name in repro.__all__)
+""",
+    "unknown-attribute": """
+import repro
+try:
+    repro.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("unknown attribute resolved")
+""",
+    "readme-imports": """
+from repro import quick_attack
+from repro import run_trial, TrialConfig, AdversaryConfig, VolunteerWorkload
+from repro.netsim import FaultSchedule, GilbertElliottLoss, flaps
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "script", FRESH_API_SCRIPTS.values(), ids=FRESH_API_SCRIPTS.keys()
+)
+def test_lazy_root_in_fresh_interpreter(script):
+    completed = run_fresh(script)
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_quick_attack_returns_analysis():
