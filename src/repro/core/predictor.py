@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.assignment import linear_sum_assignment
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -179,7 +181,7 @@ class SizePredictor:
         other re-served objects, duplicate servings from retransmitted
         requests — some of which coincidentally land near a candidate's
         size.  The prediction module therefore solves a minimum-cost
-        bipartite assignment (Hungarian algorithm) between expected
+        bipartite assignment (:mod:`repro.core.assignment`) between expected
         candidate sizes and observed bursts, restricted to in-tolerance
         pairs, and reads the order off the chosen bursts' timestamps.
 
@@ -240,18 +242,18 @@ class SizePredictor:
         pool: Sequence[str],
     ) -> List[Tuple[ObjectEstimate, Match]]:
         """Min-error bipartite assignment of candidates to estimates."""
-        import numpy as np
-        from scipy.optimize import linear_sum_assignment
-
         if not estimates:
             return []
         big = 1e12
-        cost = np.full((len(pool), len(estimates)), big)
-        for row, object_id in enumerate(pool):
+        cost = []
+        for object_id in pool:
             expected = self._expected[object_id]
-            for col, estimate in enumerate(estimates):
-                if self._within_tolerance(estimate.payload_bytes, expected):
-                    cost[row, col] = abs(estimate.payload_bytes - expected)
+            cost.append([
+                abs(estimate.payload_bytes - expected)
+                if self._within_tolerance(estimate.payload_bytes, expected)
+                else big
+                for estimate in estimates
+            ])
         rows, cols = linear_sum_assignment(cost)
         return [
             (estimates[col], Match(
@@ -260,7 +262,7 @@ class SizePredictor:
                 estimates[col].payload_bytes,
             ))
             for row, col in zip(rows, cols)
-            if cost[row, col] < big
+            if cost[row][col] < big
         ]
 
 

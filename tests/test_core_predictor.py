@@ -112,6 +112,43 @@ def test_predict_sequence_assignment_empty():
     assert _predictor().predict_sequence_assignment([], list(SIZE_MAP)) == []
 
 
+def _labels(labelled):
+    return [(estimate.start_time, match.object_id) for estimate, match in labelled]
+
+
+# Tie cases: a duplicate serving carries the same size, so which duplicate
+# wins is the assignment's tie rule.  Expected values were recorded with
+# scipy.optimize.linear_sum_assignment.
+
+def test_predict_sequence_assignment_duplicate_serving_tie():
+    predictor = _predictor()
+    estimates = [
+        _estimate(predictor.expected_for("small"), start=1.0),
+        _estimate(predictor.expected_for("small"), start=1.2),
+        _estimate(predictor.expected_for("large"), start=1.4),
+        _estimate(predictor.expected_for("medium"), start=1.6),
+    ]
+    labelled = predictor.predict_sequence_assignment(estimates, list(SIZE_MAP))
+    assert _labels(labelled) == [(1.0, "small"), (1.4, "large"), (1.6, "medium")]
+
+
+def test_predict_sequence_assignment_equal_error_tie():
+    predictor = _predictor()
+    estimates = [
+        _estimate(predictor.expected_for("small") + 20, start=1.0),
+        _estimate(predictor.expected_for("small") - 20, start=1.2),
+        _estimate(predictor.expected_for("large"), start=1.4),
+    ]
+    labelled = predictor.predict_sequence_assignment(estimates, list(SIZE_MAP))
+    assert _labels(labelled) == [(1.0, "small"), (1.4, "large")]
+
+
+def test_predict_sequence_assignment_empty_pool():
+    predictor = _predictor()
+    estimates = [_estimate(predictor.expected_for("small"))]
+    assert predictor.predict_sequence_assignment(estimates, []) == []
+
+
 def test_empty_size_map_rejected():
     with pytest.raises(ValueError):
         SizePredictor({})

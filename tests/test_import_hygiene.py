@@ -1,10 +1,12 @@
-"""Package roots stay import-light.
+"""Package roots and the paper path stay import-light.
 
 A spawned campaign worker's first act is ``import
 repro.experiments.executor``, to unpickle its task, so whatever the
 package roots import eagerly every worker pays for before its first
-shard.  Each check runs in a fresh interpreter, because the test
-process has long since imported everything.
+shard.  Likewise every paper-experiment process and trial worker pays
+for whatever one trial imports.  Each check runs in a fresh
+interpreter, because the test process has long since imported
+everything.
 """
 
 from __future__ import annotations
@@ -20,19 +22,21 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, **env: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter with ``src`` on the path."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, "-c", code], cwd=str(SRC.parent),
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True, text=True, timeout=120,
     )
 
 
-def modules_after(statement: str) -> Set[str]:
+def modules_after(statement: str, **env: str) -> Set[str]:
     """``sys.modules`` of a fresh interpreter after ``statement``."""
-    completed = run_fresh(f"import sys\n{statement}\nprint(*sys.modules)")
+    completed = run_fresh(
+        f"import sys\n{statement}\nprint(*sys.modules)", **env
+    )
     assert completed.returncode == 0, completed.stderr
     return set(completed.stdout.split())
 
@@ -58,6 +62,26 @@ def test_campaign_worker_imports_skip_packet_stack_and_numpy():
 
 def test_cli_import_loads_no_numpy():
     assert loaded_under(modules_after("import repro.cli"), ["numpy"]) == []
+
+
+FIG6_TRIAL = """
+from repro.experiments.harness import summarize_trial
+from repro.experiments.hotpath import reference_config
+from repro.web.workload import VolunteerWorkload
+summarize_trial(3, VolunteerWorkload(seed=7), reference_config("fig6"))
+"""
+
+
+@pytest.mark.parametrize("transport, backend", [
+    ("tcp", "python"), ("quic", "fast"),
+])
+def test_paper_trial_loads_no_numpy_or_scipy(transport, backend):
+    # The fig6 trial runs the whole attack, sequence assignment included.
+    modules = modules_after(
+        FIG6_TRIAL, REPRO_TRANSPORT=transport, REPRO_BACKEND=backend
+    )
+    assert f"repro.transport.{transport}" in modules
+    assert loaded_under(modules, ["numpy", "scipy"]) == []
 
 
 def test_infer_runner_skips_packet_stack():
