@@ -20,6 +20,13 @@ equates degree 0 with broken privacy.  Control records (SETTINGS,
 WINDOW_UPDATE) interspersed in an object's extent do not count: they
 perturb a size estimate by tens of bytes, not by object-scale amounts.
 
+Under these two rules a serving's degree is always 0 or 1.  Foreign
+bytes inside O's extent split O; a foreign extent that overlaps O's
+without any byte inside it must straddle O's extent, and so covers
+every byte of O.  The degree therefore says *whether* a serving was
+multiplexed, and a mean degree over servings is the share of
+multiplexed servings, not the paper's per-object byte fraction.
+
 This is **ground truth**: it is computed from the server's symbolic
 send-stream layout (which DATA bytes belong to which response
 instance), not from anything the adversary can observe.
@@ -27,6 +34,7 @@ instance), not from anything the adversary can observe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,16 +106,19 @@ def degree_of_multiplexing(
 ) -> float:
     """Fraction of ``target``'s stream bytes interleaved with others.
 
+    The per-target reference for :meth:`MultiplexingReport.from_layout`.
+
     Args:
         target: the response instance of interest.
         all_ranges: output of :func:`instance_byte_ranges` for the
             connection the instance was served on.
 
     Returns:
-        Degree in [0, 1]; 0.0 when no other instance's transmission
-        interleaves with the target (the non-multiplexed,
+        0.0 or 1.0 for the positive-length ranges of
+        :func:`instance_byte_ranges`: 0.0 when no other instance's
+        transmission interleaves with the target (the non-multiplexed,
         privacy-broken case); 1.0 when the target is split by foreign
-        object bytes.
+        object bytes or lies inside another instance's extent.
 
     Raises:
         KeyError: when the target has no transmitted bytes (e.g. its
@@ -143,52 +154,38 @@ def degree_of_multiplexing(
 def _all_degrees(
     all_ranges: Dict[ResponseInstance, List[Tuple[int, int]]],
 ) -> Dict[ResponseInstance, float]:
-    """Degrees for every instance at once.
+    """Degrees for every instance at once, from one sort of the extents.
 
-    Equivalent to calling :func:`degree_of_multiplexing` per instance,
-    but merges each instance's ranges and derives its extent exactly
-    once instead of once per (target, other) pair — the pairwise loop
-    dominated trial teardown before this.
+    Equal to :func:`degree_of_multiplexing` per instance on the output
+    of :func:`instance_byte_ranges`.  As the module docstring shows, a
+    degree there is 1.0 exactly when another instance's extent overlaps
+    the target's with positive length, and 0.0 otherwise.
+
+    After sorting the extents by start, an extent overlaps an earlier
+    one when the largest end seen so far passes its start, and a later
+    one when the next extent starts before its end.  The result keeps
+    ``all_ranges`` order; instances without ranges are left out.
     """
-    merged: Dict[ResponseInstance, List[Tuple[int, int]]] = {
-        instance: _merge(ranges)
-        for instance, ranges in all_ranges.items()
-        if ranges
+    served = [
+        (instance, ranges) for instance, ranges in all_ranges.items() if ranges
+    ]
+    extents = [
+        (min(start for start, _ in ranges), max(end for _, end in ranges))
+        for _, ranges in served
+    ]
+    order = sorted(range(len(extents)), key=extents.__getitem__)
+    degrees = [0.0] * len(extents)
+    reach = -math.inf
+    for rank, index in enumerate(order):
+        start, end = extents[index]
+        if reach > start or (
+            rank + 1 < len(order) and extents[order[rank + 1]][0] < end
+        ):
+            degrees[index] = 1.0
+        reach = max(reach, end)
+    return {
+        instance: degree for (instance, _), degree in zip(served, degrees)
     }
-    extents = {
-        instance: (ranges[0][0], ranges[-1][1])
-        for instance, ranges in merged.items()
-    }
-    degrees: Dict[ResponseInstance, float] = {}
-    for target, target_ranges in merged.items():
-        total = sum(end - start for start, end in target_ranges)
-        if total == 0:
-            raise KeyError(f"instance {target!r} transmitted no bytes")
-        target_extent = extents[target]
-        interleaved_ranges: List[Tuple[int, int]] = []
-        split = False
-        for other, other_ranges in merged.items():
-            if other is target:
-                continue
-            # Split rule: any foreign object bytes inside the target's
-            # extent make the whole target unsizable.
-            if _overlap_bytes(other_ranges, target_extent) > 0:
-                split = True
-                break
-            other_lo, other_hi = extents[other]
-            for start, end in target_ranges:
-                lo = start if start > other_lo else other_lo
-                hi = end if end < other_hi else other_hi
-                if hi > lo:
-                    interleaved_ranges.append((lo, hi))
-        if split:
-            degrees[target] = 1.0
-        else:
-            interleaved = sum(
-                end - start for start, end in _merge(interleaved_ranges)
-            )
-            degrees[target] = interleaved / total
-    return degrees
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Hashable, Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,22 @@ STATIC_TABLE: Tuple[HeaderField, ...] = (
 )
 
 
+def _first_indices(keys: Iterable[Hashable]) -> Dict[Hashable, int]:
+    """Map each key to the 1-based position of its first occurrence."""
+    indices: Dict[Hashable, int] = {}
+    for index, key in enumerate(keys, start=1):
+        indices.setdefault(key, index)
+    return indices
+
+
+#: (name, value) → static index of that exact field.
+_STATIC_FULL_INDEX = _first_indices(
+    (entry.name, entry.value) for entry in STATIC_TABLE
+)
+#: name → first static index carrying that name.
+_STATIC_NAME_INDEX = _first_indices(entry.name for entry in STATIC_TABLE)
+
+
 class DynamicTable:
     """The HPACK dynamic table: FIFO eviction, size-bounded."""
 
@@ -148,13 +164,10 @@ class DynamicTable:
             name+value match (or None), and the index of a name-only
             match (or None).  Dynamic indices start at 62.
         """
-        name_index: Optional[int] = None
-        for index, entry in enumerate(STATIC_TABLE, start=1):
-            if entry.name == field.name:
-                if entry.value == field.value:
-                    return index, index
-                if name_index is None:
-                    name_index = index
+        full_index = _STATIC_FULL_INDEX.get((field.name, field.value))
+        if full_index is not None:
+            return full_index, full_index
+        name_index = _STATIC_NAME_INDEX.get(field.name)
         offset = len(STATIC_TABLE) + 1
         for index, entry in enumerate(self._entries):
             if entry.name == field.name:

@@ -11,8 +11,7 @@ from these records, like the paper's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.netsim.packet import Packet
 
@@ -23,19 +22,25 @@ class Direction(enum.Enum):
     CLIENT_TO_SERVER = "c2s"
     SERVER_TO_CLIENT = "s2c"
 
+    #: Members are singletons and compare by identity, so the C-level
+    #: identity hash is consistent with equality; it spares the
+    #: middlebox's per-direction dicts ``Enum.__hash__`` (a Python call)
+    #: on every packet.
+    __hash__ = object.__hash__
+
     def opposite(self) -> "Direction":
         if self is Direction.CLIENT_TO_SERVER:
             return Direction.SERVER_TO_CLIENT
         return Direction.CLIENT_TO_SERVER
 
 
-def _segment_field(segment: Any, name: str, default: Any) -> Any:
-    return getattr(segment, name, default) if segment is not None else default
+class PacketRecord(NamedTuple):
+    """One captured packet, as visible to an on-path observer.
 
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One captured packet, as visible to an on-path observer."""
+    A named tuple: the tap builds one per transiting packet, so the
+    record costs one tuple allocation.  It is immutable and hashable,
+    and compares equal to a plain tuple of its field values.
+    """
 
     time: float
     direction: Direction
@@ -84,25 +89,20 @@ class PacketRecord:
     ) -> "PacketRecord":
         """Build a record from a live packet (headers only)."""
         segment = packet.segment
-        records = _segment_field(segment, "tls_records", ()) or ()
-        content_types = tuple(
-            int(getattr(rec, "content_type", 0)) for rec in records
-        )
-        record_lengths = tuple(
-            int(getattr(rec, "wire_length", 0)) for rec in records
-        )
+        flags = getattr(segment, "flags", None)
+        records = getattr(segment, "tls_records", None) or ()
         return cls(
-            time=time,
-            direction=direction,
-            packet_id=packet.packet_id,
-            wire_size=packet.wire_size,
-            payload_bytes=packet.payload_bytes,
-            flags=tuple(sorted(_segment_field(segment, "flags", ()) or ())),
-            seq=int(_segment_field(segment, "seq", 0)),
-            ack=int(_segment_field(segment, "ack", 0)),
-            tls_content_types=content_types,
-            tls_record_lengths=record_lengths,
-            dropped_by_adversary=dropped,
+            time,
+            direction,
+            packet.packet_id,
+            packet.wire_size,
+            packet.payload_bytes,
+            tuple(sorted(flags)) if flags else (),
+            int(getattr(segment, "seq", 0)),
+            int(getattr(segment, "ack", 0)),
+            tuple([int(getattr(rec, "content_type", 0)) for rec in records]),
+            tuple([int(getattr(rec, "wire_length", 0)) for rec in records]),
+            dropped,
         )
 
 

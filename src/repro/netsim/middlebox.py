@@ -41,7 +41,11 @@ class PacketAction(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """A filter decision.  ``delay`` is only meaningful for DELAY."""
+    """A filter decision.  ``delay`` is only meaningful for DELAY.
+
+    Verdicts are immutable, so :meth:`forward` and :meth:`drop` hand out
+    one shared instance each instead of allocating per packet.
+    """
 
     action: PacketAction
     delay: float = 0.0
@@ -52,15 +56,19 @@ class Verdict:
 
     @classmethod
     def forward(cls) -> "Verdict":
-        return cls(PacketAction.FORWARD)
+        return _FORWARD
 
     @classmethod
     def drop(cls) -> "Verdict":
-        return cls(PacketAction.DROP)
+        return _DROP
 
     @classmethod
     def delayed(cls, seconds: float) -> "Verdict":
         return cls(PacketAction.DELAY, seconds)
+
+
+_FORWARD = Verdict(PacketAction.FORWARD)
+_DROP = Verdict(PacketAction.DROP)
 
 
 class PacketFilter(Protocol):
@@ -236,7 +244,7 @@ class Middlebox:
                 total_delay += verdict.delay
         if total_delay > 0:
             return Verdict.delayed(total_delay)
-        return Verdict.forward()
+        return _FORWARD
 
     def _forward(self, packet: Packet, direction: Direction) -> None:
         egress = self._egress[direction]

@@ -104,6 +104,59 @@ def test_lookup_full_and_name_match():
     assert full is None and name == 2
 
 
+def _scan_lookup(table, field):
+    """The two-loop linear scan over static then dynamic entries."""
+    name_index = None
+    for index, entry in enumerate(STATIC_TABLE, start=1):
+        if entry.name == field.name:
+            if entry.value == field.value:
+                return index, index
+            if name_index is None:
+                name_index = index
+    offset = len(STATIC_TABLE) + 1
+    for index, entry in enumerate(table._entries):
+        if entry.name == field.name:
+            if entry.value == field.value:
+                return offset + index, offset + index
+            if name_index is None:
+                name_index = offset + index
+    return None, name_index
+
+
+def test_lookup_matches_linear_scan():
+    """The indexed static lookup keeps the scan's answers and its
+    static-before-dynamic precedence."""
+    empty = DynamicTable()
+    populated = DynamicTable()
+    for header in (
+        HeaderField("x-custom", "a"),
+        HeaderField(":method", "PUT"),  # repeats a static name
+        HeaderField("x-custom", "b"),
+        HeaderField(":status", "200"),  # repeats a whole static entry
+        HeaderField("cookie", "id=1"),
+    ):
+        populated.insert(header)
+    probes = list(STATIC_TABLE)
+    probes += [HeaderField(entry.name, "foreign") for entry in STATIC_TABLE]
+    probes += [
+        HeaderField("x-absent", ""),
+        HeaderField("x-absent", "v"),
+        HeaderField("x-custom", "a"),
+        HeaderField("x-custom", "b"),
+        HeaderField("x-custom", "c"),
+        HeaderField(":method", "PUT"),
+        HeaderField(":status", "200"),
+        HeaderField("cookie", "id=1"),
+        HeaderField("cookie", "id=2"),
+    ]
+    for table in (empty, populated):
+        for probe in probes:
+            assert table.lookup(probe) == _scan_lookup(table, probe), probe
+    assert populated.lookup(HeaderField(":method", "PUT")) == (65, 65)
+    assert populated.lookup(HeaderField(":status", "200")) == (8, 8)
+    assert populated.lookup(HeaderField("x-custom", "c")) == (None, 64)
+
+
 def test_entry_at_dynamic_index():
     table = DynamicTable()
     table.insert(HeaderField("x-new", "v"))

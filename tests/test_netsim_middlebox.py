@@ -1,5 +1,7 @@
 """Unit tests for the middlebox, capture, and topology builder."""
 
+import inspect
+
 import pytest
 
 from repro.netsim.address import Endpoint
@@ -10,7 +12,9 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Packet
 from repro.netsim.topology import build_adversary_path
 from repro.simkernel.units import MBPS
-from repro.tls.record import TLSRecord
+from repro.tcp.segment import FLAGS_ACK, FLAGS_FIN_ACK, TCPSegment
+from repro.tls.record import APPLICATION_DATA, HANDSHAKE, TLSRecord
+from repro.transport.stream import StreamLayout
 
 
 class _Drop:
@@ -134,9 +138,14 @@ def test_middlebox_bandwidth_limit_lift(sim):
 def test_verdict_validation():
     with pytest.raises(ValueError):
         Verdict(PacketAction.DELAY, delay=-1.0)
+    with pytest.raises(ValueError):
+        Verdict.delayed(-1)
     assert Verdict.forward().action is PacketAction.FORWARD
     assert Verdict.drop().action is PacketAction.DROP
     assert Verdict.delayed(0.1).delay == 0.1
+    # forward/drop verdicts are immutable, so each is one shared instance.
+    assert Verdict.forward() is Verdict.forward()
+    assert Verdict.drop() is Verdict.drop()
 
 
 # -- CaptureLog / PacketRecord ------------------------------------------------
@@ -201,6 +210,102 @@ def test_record_from_packet_reads_tls_types(sim):
     assert captured.tls_content_types == (23,)
     assert captured.seq == 10
     assert captured.is_application_data
+
+
+# -- PacketRecord / Verdict contracts -----------------------------------------
+
+_EMPTY = inspect.Parameter.empty
+
+
+def _full_record():
+    return PacketRecord(
+        time=1.5, direction=Direction.CLIENT_TO_SERVER, packet_id=7,
+        wire_size=569, payload_bytes=517, flags=("ACK", "FIN"), seq=10,
+        ack=20, tls_content_types=(23, 23), tls_record_lengths=(258, 259),
+        dropped_by_adversary=True,
+    )
+
+
+def test_packet_record_fields_order_and_defaults():
+    parameters = inspect.signature(PacketRecord).parameters
+    assert [(name, p.default) for name, p in parameters.items()] == [
+        ("time", _EMPTY), ("direction", _EMPTY), ("packet_id", _EMPTY),
+        ("wire_size", _EMPTY), ("payload_bytes", _EMPTY), ("flags", _EMPTY),
+        ("seq", _EMPTY), ("ack", _EMPTY), ("tls_content_types", _EMPTY),
+        ("tls_record_lengths", ()), ("dropped_by_adversary", False),
+    ]
+
+
+def test_packet_record_is_immutable_and_hashable():
+    record = _full_record()
+    with pytest.raises(AttributeError):
+        record.time = 2.0
+    with pytest.raises(AttributeError):
+        record.dropped_by_adversary = False
+    twin = _full_record()
+    assert twin == record and hash(twin) == hash(record)
+    assert len({record, twin}) == 1
+
+
+def test_packet_record_repr_is_stable():
+    assert repr(_full_record()) == (
+        "PacketRecord(time=1.5, direction=<Direction.CLIENT_TO_SERVER: "
+        "'c2s'>, packet_id=7, wire_size=569, payload_bytes=517, "
+        "flags=('ACK', 'FIN'), seq=10, ack=20, tls_content_types=(23, 23), "
+        "tls_record_lengths=(258, 259), dropped_by_adversary=True)"
+    )
+
+
+def test_from_packet_without_segment():
+    packet = Packet(Endpoint("client", 1), Endpoint("server", 2), None,
+                    packet_id=5)
+    record = PacketRecord.from_packet(0.5, Direction.CLIENT_TO_SERVER, packet)
+    assert record == PacketRecord(
+        time=0.5, direction=Direction.CLIENT_TO_SERVER, packet_id=5,
+        wire_size=40, payload_bytes=0, flags=(), seq=0, ack=0,
+        tls_content_types=(), tls_record_lengths=(),
+        dropped_by_adversary=False,
+    )
+
+
+def test_from_packet_pure_ack():
+    segment = TCPSegment(seq=100, ack=200, flags=FLAGS_ACK)
+    packet = Packet(Endpoint("server", 2), Endpoint("client", 1), segment,
+                    packet_id=6)
+    record = PacketRecord.from_packet(0.75, Direction.SERVER_TO_CLIENT, packet)
+    assert record == PacketRecord(
+        time=0.75, direction=Direction.SERVER_TO_CLIENT, packet_id=6,
+        wire_size=52, payload_bytes=0, flags=("ACK",), seq=100, ack=200,
+        tls_content_types=(),
+    )
+    assert not record.is_application_data
+    assert not record.is_application_stream
+
+
+def test_from_packet_two_record_fin_ack():
+    layout = StreamLayout()
+    first = TLSRecord(HANDSHAKE, 40)
+    second = TLSRecord(APPLICATION_DATA, 300)
+    layout.append(first)
+    layout.append(second)
+    segment = TCPSegment(
+        seq=1000, ack=2000, flags=FLAGS_FIN_ACK,
+        payload_bytes=first.wire_length + second.wire_length,
+        layout=layout, tls_records=(first, second),
+    )
+    packet = Packet(Endpoint("server", 2), Endpoint("client", 1), segment,
+                    packet_id=7)
+    record = PacketRecord.from_packet(
+        1.25, Direction.SERVER_TO_CLIENT, packet, dropped=True
+    )
+    assert record == PacketRecord(
+        time=1.25, direction=Direction.SERVER_TO_CLIENT, packet_id=7,
+        wire_size=450, payload_bytes=398, flags=("ACK", "FIN"), seq=1000,
+        ack=2000, tls_content_types=(22, 23), tls_record_lengths=(69, 329),
+        dropped_by_adversary=True,
+    )
+    assert record.is_application_data
+    assert not record.is_application_stream
 
 
 def test_direction_opposite():

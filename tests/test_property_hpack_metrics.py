@@ -1,9 +1,13 @@
 """Property-based tests for HPACK coding and the multiplexing metric."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import degree_of_multiplexing, instance_byte_ranges
+from repro.core.metrics import (
+    MultiplexingReport,
+    degree_of_multiplexing,
+    instance_byte_ranges,
+)
 from repro.h2.frames import DataFrame
 from repro.h2.server import ResponseInstance
 from repro.hpack.codec import HpackDecoder, HpackEncoder, prefix_integer_length
@@ -97,7 +101,36 @@ def test_degree_always_in_unit_interval(chunks):
     ranges = instance_byte_ranges(layout)
     for owner in present:
         degree = degree_of_multiplexing(instances[owner], ranges)
-        assert 0.0 <= degree <= 1.0
+        assert degree in (0.0, 1.0)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 5), st.integers(1, 2000)),
+    min_size=1, max_size=24,
+))
+@example([(0, 100), (1, 100), (2, 100)])  # touching extents only
+@example([(0, 100), (1, 100), (1, 50), (0, 100)])  # nested extent
+# A split instance, its single-chunk filler, and a split instance
+# straddling a single-chunk one.
+@example([(0, 100), (1, 100), (0, 100), (2, 100), (3, 100), (2, 5)])
+@example([(4, 7)])  # one single-chunk instance alone
+@settings(max_examples=300)
+def test_report_degrees_match_per_target_reference(chunks):
+    """The report's one-sort degrees equal the per-target reference for
+    every instance on the stream, and every degree is exactly 0 or 1."""
+    instances = {index: _mk_instance(f"obj{index}") for index in range(6)}
+    layout = StreamLayout()
+    for owner, size in chunks:
+        frame = DataFrame(stream_id=1, data_bytes=size,
+                          context=instances[owner])
+        layout.append(TLSRecord(APPLICATION_DATA, size, payload=frame),
+                      length=size)
+    ranges = instance_byte_ranges(layout)
+    degrees = MultiplexingReport.from_layout(layout).degrees
+    assert list(degrees) == list(ranges)
+    for instance, degree in degrees.items():
+        assert degree == degree_of_multiplexing(instance, ranges)
+        assert degree in (0.0, 1.0)
 
 
 @given(chunk_sequences)

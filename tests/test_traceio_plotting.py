@@ -11,7 +11,8 @@ def _record(time=1.0, dropped=False):
     return PacketRecord(
         time=time, direction=Direction.SERVER_TO_CLIENT, packet_id=7,
         wire_size=1500, payload_bytes=1448, flags=("ACK",), seq=100,
-        ack=50, tls_content_types=(23,), dropped_by_adversary=dropped,
+        ack=50, tls_content_types=(23,), tls_record_lengths=(1448,),
+        dropped_by_adversary=dropped,
     )
 
 
@@ -22,8 +23,7 @@ def test_capture_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     assert save_capture(capture, path) == 2
     loaded = load_capture(path)
-    assert len(loaded) == 2
-    assert loaded[0] == capture[0]
+    assert list(loaded) == list(capture)
     assert loaded[1].dropped_by_adversary
 
 
