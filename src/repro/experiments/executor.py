@@ -356,7 +356,8 @@ class FaultTolerance:
             Results must be JSON-serializable (plain dicts/lists/
             scalars) when checkpointing is enabled.
         checkpoint_every: flush the checkpoint after this many newly
-            completed trials (1 = after every trial).
+            completed trials (1 = after every trial); the map ends with
+            one more flush only if the file still lags.
         checkpoint_digest: config digest bound into the checkpoint
             file; a file carrying a *different* digest is quarantined
             on resume instead of silently poisoning the run.
@@ -454,6 +455,8 @@ class Checkpoint:
         self.disabled = False
         self.write_error: Optional[str] = None
         self._dirty = 0
+        #: A loaded file lacks the config digest: the next write seals it.
+        self._unsealed = False
         if os.path.exists(path):
             self._load(path)
         #: Results read back on open (0 after a quarantine): the trials
@@ -504,7 +507,9 @@ class Checkpoint:
         file_digest = payload.get("config_digest") or None
         if self.config_digest is None:
             self.config_digest = file_digest
-        elif file_digest is not None and file_digest != self.config_digest:
+        elif file_digest is None:
+            self._unsealed = True
+        elif file_digest != self.config_digest:
             self._quarantine(
                 f"foreign config digest {file_digest!r} "
                 f"(expected {self.config_digest!r})"
@@ -525,6 +530,13 @@ class Checkpoint:
 
     def __contains__(self, index: int) -> bool:
         return index in self.results
+
+    @property
+    def pending(self) -> bool:
+        """Whether the file lags this checkpoint: results were recorded
+        since the last write, or the loaded file lacks the config digest.
+        """
+        return self._dirty > 0 or self._unsealed
 
     def record(self, index: int, result: Any, flush_every: int = 1) -> None:
         self.results[index] = result
@@ -548,6 +560,7 @@ class Checkpoint:
             )
         else:
             self._dirty = 0
+            self._unsealed = False
 
     def _write(self) -> None:
         if _flush_fault_hook is not None:
@@ -985,7 +998,7 @@ class TrialExecutor:
             _run_in_process(task, ledger)
         else:
             _run_pool(task, ledger, workers)
-        if ledger.checkpoint is not None:
+        if ledger.checkpoint is not None and ledger.checkpoint.pending:
             ledger.checkpoint.flush()
         return [ledger.results[index] for index in indices]
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.campaign.engine import ShardedConfig, run_campaign
-from repro.experiments.executor import heartbeat
 from repro.experiments.report import format_table
 from repro.infer.classifiers import classifier_names
-from repro.infer.dataset import StudyDesign, evaluate_session
+from repro.infer.dataset import StudyDesign, evaluate_sessions
 from repro.infer.defenses import defense_level_names
 from repro.infer.summary import FORMAT, InferSummary
 
@@ -114,10 +113,9 @@ class InferShardTask:
     def __call__(self, shard: int) -> Dict[str, Any]:
         design = self.config.design()
         summary = InferSummary(design.levels, design.classifiers)
-        heartbeat()
-        for session in self.config.shard_range(shard):
-            summary.fold(evaluate_session(session, design))
-            heartbeat()
+        summary.fold_all(
+            evaluate_sessions(self.config.shard_range(shard), design)
+        )
         return summary.to_json()
 
 

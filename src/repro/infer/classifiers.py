@@ -8,28 +8,33 @@ runtime dependencies — alongside the paper's exact-match baseline,
 so the frontier table compares the attack the paper ran against the
 attack it did not.
 
-A study fits one model per defense level, all on the same labels, so
+An infer shard fits one model per (session, defense level), and every
+session with the same number of objects trains on the same labels, so
 the interface also has the classmethod ``fit_levels(models, stack,
-labels)``, which fits ``models[l]`` on ``stack[l]``.  Its default
-loops ``fit``.  The logistic model overrides it to train every level
-as one stacked array program over the (level, sample, feature) stack,
-and its ``fit`` is the one-level case of that program.
+labels)``, which fits ``models[m]`` on ``stack[m]``.  Its default
+loops ``fit``.  The logistic model overrides it to train the whole
+stack as one array program over the (model, sample, feature) stack,
+where the model axis spans sessions × levels, and its ``fit`` is the
+one-model case of that program.
 
 Determinism contract:
 
 * a classifier is constructed from an integer seed only; fitting the
   same data with the same seed yields a bit-identical model (pinned by
   ``model_digest()``, a SHA-256 over the canonical parameter bytes),
-  whether the model is fit alone or stacked with other levels;
+  whether the model is fit alone or stacked with the other levels and
+  sessions of its shard;
 * every matrix product goes through ``np.einsum`` rather than BLAS
   ``dot`` — einsum's fixed-order reduction loops are reproducible
   across numpy builds, where a threaded BLAS dgemm need not be.  The
   stacked subscripts ``lnf,lfc->lnc`` and ``lnf,lnc->lfc`` only add a
-  leading level axis: every output element still accumulates its
-  contracted index sequentially, in the order of the one-level
-  ``nf,fc->nc`` and ``nf,nc->fc``, and every other reduction runs over
-  the sample or class axis of one level.  The tests pin a stacked fit
-  against the one-level loop it replaced;
+  leading model axis ``l`` (sessions × levels): every output element
+  still accumulates its contracted index sequentially, in the order of
+  the one-model ``nf,fc->nc`` and ``nf,nc->fc``, and every other
+  reduction runs over the sample or class axis of one model.  So a
+  model's floats do not depend on what is stacked beside it, or on how
+  many.  The tests pin stacks of up to 40 models against the one-model
+  loop, and a shard against its sessions fit one at a time;
 * ties break toward the smallest label everywhere.
 
 Registering a new classifier::
@@ -78,7 +83,7 @@ class Classifier:
     ) -> None:
         """Fit ``models[l]`` on the feature matrix ``stack[l]``.
 
-        Every level trains on the same ``labels``.  The default fits
+        Every model trains on the same ``labels``.  The default fits
         each model in turn; a subclass may fit the whole stack at once,
         provided each model ends bit-identical to its own ``fit``.
         """
@@ -281,14 +286,15 @@ class LogisticClassifier(Classifier):
     take ``EPOCHS`` deterministic gradient steps.
 
     :meth:`fit_levels` trains L models on the same labels as one
-    stacked program over an (L, N, F) feature stack: standardization
-    per level, each level's initial weights from its own seed, one
-    one-hot matrix shared by all levels, and one epoch loop of batched
-    einsum products with the softmax reductions over the class axis.
-    :meth:`fit` is its one-level case, so there is one gradient-descent
-    loop.  All reductions run through einsum/np.sum loops whose order
-    does not depend on L — same floats on every run and worker, alone
-    or stacked.
+    stacked program over an (L, N, F) feature stack, L spanning a
+    shard's sessions × levels: standardization per model, each model's
+    initial weights from its own seed, one one-hot matrix shared by all
+    models, and one epoch loop of batched einsum products with the
+    softmax reductions over the class axis.  :meth:`fit` is its
+    one-model case, so there is one gradient-descent loop.  All
+    reductions run through einsum/np.sum loops whose order does not
+    depend on L — same floats on every run and worker, alone or
+    stacked.
     """
 
     name = "logistic"
@@ -310,17 +316,19 @@ class LogisticClassifier(Classifier):
 
     @classmethod
     def fit_levels(cls, models, stack, labels) -> None:
-        stack = np.asarray(stack, dtype=np.float64)
-        if stack.ndim != 3 or len(stack) != len(models):
+        # A float copy of the stack, standardized in place.
+        scaled = np.array(stack, dtype=np.float64)
+        if scaled.ndim != 3 or len(scaled) != len(models):
             raise ValueError("stack must hold one 2-D feature batch per model")
-        mean, scale = _standardize_stats(stack)
-        scaled = (stack - mean[:, None]) / scale[:, None]
+        mean, scale = _standardize_stats(scaled)
+        scaled -= mean[:, None]
+        scaled /= scale[:, None]
         label_array = np.asarray(labels, dtype=np.int64)
         classes, label_index = np.unique(label_array, return_inverse=True)
         one_hot = np.eye(len(classes))[label_index]
 
         weights = np.stack([
-            model._initial_weights(stack.shape[2], len(classes))
+            model._initial_weights(scaled.shape[2], len(classes))
             for model in models
         ])
         bias = np.zeros((len(models), len(classes)))

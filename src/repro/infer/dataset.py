@@ -20,13 +20,19 @@ Every observation draws from its own counter stream named by
 sessions or reps reproduces identical observations — the property that
 makes shard/worker/resume slicing bit-stable.  Because a counter
 stream's draw ``i`` is a closed form of ``(seed, i)``, :func:`observe`
-builds all observations of one (session, level) at once: the few
-data-dependent draws run per stream, the two timing draws per record
-run as one array pass, and the result is a flat
+builds all observations of one (session, level) at once: one array
+pass computes every stream's data-dependent draws, Python only splices
+the drawn records into the sequences, a second array pass computes the
+two timing draws per record, and the result is a flat
 :class:`~repro.infer.features.ObservationBatch`.
-:func:`evaluate_session` joins every level's batch into one
-observation batch per session, so one call to the numpy feature kernel
-covers the whole session, and each classifier fits all levels at once.
+
+An infer shard is one array program (:func:`evaluate_sessions`).  Each
+session joins its levels' batches for one call to the numpy feature
+kernel.  Sessions whose pages keep the same number of objects share
+their labels, and each classifier fits all of their (session × level)
+models in one stacked call.  A group's features stay in memory until
+its fits end, about 23 KB per session at the ``repro infer`` defaults.
+:func:`evaluate_session` is the one-session case.
 
 The attacker trains on its own seeded fetches (role ``train``) and
 classifies the victim's (role ``victim``); both see the same
@@ -45,8 +51,18 @@ from repro.core.predictor import FRAME_HEADER, RECORD_OVERHEAD, RESPONSE_HEADERS
 from repro.experiments.executor import heartbeat
 from repro.infer.classifiers import classifier_names, resolve_classifier
 from repro.infer.defenses import DefenseConfig, DefenseOverhead, defense_level, defense_level_names
-from repro.infer.features import FeatureConfig, ObservationBatch, extract_features_auto
-from repro.simkernel.randomstream import CounterStream, counter_stream_base, randint
+from repro.infer.features import (
+    FeatureConfig,
+    ObservationBatch,
+    extract_features_auto,
+    feature_length,
+)
+from repro.simkernel.randomstream import (
+    CounterStream,
+    counter_stream_base,
+    draw64,
+    randint,
+)
 from repro.web.workload import PopulationConfig, PopulationWorkload
 
 #: Plaintext bytes of the response HEADERS record (its wire size is the
@@ -176,26 +192,62 @@ def observe(
     Draw order per observation (fixed; determinism depends on it):
     chaff positions, contamination count then per-insert (object,
     record, position) triples, then per-record timing (jitter, pause)
-    pairs.  The first group is data-dependent and drawn from each
-    stream in turn.  The timing pairs follow at known indices — record
-    ``k`` of a stream left at position ``p`` draws ``p + 2k + 1`` and
-    ``p + 2k + 2`` — so they are computed for the whole batch in one
-    array pass, and the streams stay at ``p``.
+    pairs.  Every draw sits at a closed-form counter index, so none is
+    drawn one call at a time:
+
+    * the data-dependent draws of a stream left at position ``p`` are
+      draws ``p + 1 ..``: ``chaff_records`` chaff positions, then (when
+      contaminating) the insert count and ``mux_max_inserts``
+      (object, record, position) triples.  One :func:`draw64` pass
+      computes them for every stream, triples the count leaves unused
+      included; each value is then reduced modulo the span the scalar
+      ``randint`` would use, and Python only splices the records into
+      the sequences.  Each stream is advanced past the draws it used,
+      to the position ``p'`` the draw-by-draw loop leaves it at;
+    * record ``k`` then draws its timing pair at ``p' + 2k + 1`` and
+      ``p' + 2k + 2`` in a second array pass over the whole batch, and
+      the streams stay at ``p'``.
     """
+    chaff = level.chaff_records
     chaff_wire = level.chaff_record_plaintext + RECORD_OVERHEAD
     others = len(object_records) - 1
     contaminate = not level.pipeline and others > 0
+    slots = design.mux_max_inserts if contaminate else 0
+    rows = len(streams)
+    seeds = np.array([stream.seed for stream in streams], dtype=np.uint64)
+    positions = np.array([stream.position for stream in streams], dtype=np.int64)
+    owner = np.asarray(objects, dtype=np.int64)[:, None]
+    sizes = np.array([len(records) for records in object_records], dtype=np.uint64)
+    own = sizes[owner]
+    width = chaff + (1 + 3 * slots if contaminate else 0)
+    draws = draw64(seeds[:, None], positions[:, None] + np.arange(1, width + 1))
+    # randint(0, n) is draw % (n + 1): a record inserted into a sequence
+    # of n records goes to one of n + 1 places.
+    chaff_at = draws[:, :chaff] % (own + np.arange(1, chaff + 1, dtype=np.uint64))
+    inserts = np.zeros(rows, dtype=np.int64)
+    used = np.full(rows, chaff)
+    if contaminate:
+        inserts = (draws[:, chaff] % np.uint64(slots + 1)).astype(np.int64)
+        used += 1 + 3 * inserts
+    triples = draws[:, chaff + 1:].reshape(rows, slots, 3)
+    pick = (triples[:, :, 0] % np.uint64(others)).astype(np.int64)
+    source = pick + (pick >= owner)  # skips the observation's own object
+    source_record = triples[:, :, 1] % sizes[source]
+    insert_at = triples[:, :, 2] % (
+        own + np.arange(chaff + 1, chaff + slots + 1, dtype=np.uint64)
+    )
+
     sequences: List[List[int]] = []
-    for index, stream in zip(objects, streams):
-        sequence = list(object_records[index])
-        for _ in range(level.chaff_records):
-            sequence.insert(stream.randint(0, len(sequence)), chaff_wire)
-        if contaminate:
-            for _ in range(stream.randint(0, design.mux_max_inserts)):
-                pick = stream.randint(0, others - 1)
-                foreign = object_records[pick if pick < index else pick + 1]
-                record = foreign[stream.randint(0, len(foreign) - 1)]
-                sequence.insert(stream.randint(0, len(sequence)), record)
+    for obj, stream, chaff_places, count, sources, picks, places, skip in zip(
+        objects, streams, chaff_at.tolist(), inserts.tolist(), source.tolist(),
+        source_record.tolist(), insert_at.tolist(), used.tolist(),
+    ):
+        sequence = list(object_records[obj])
+        for at in chaff_places:
+            sequence.insert(at, chaff_wire)
+        for other, picked, at in zip(sources[:count], picks, places):
+            sequence.insert(at, object_records[other][picked])
+        stream.advance(skip)
         sequences.append(sequence)
 
     counts = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
@@ -203,8 +255,7 @@ def observe(
     lengths = np.fromiter(chain.from_iterable(sequences), np.int64, total)
     starts = np.cumsum(counts) - counts
     segment_of = np.repeat(np.arange(len(counts)), counts)
-    seeds = np.array([stream.seed for stream in streams], dtype=np.uint64)
-    positions = np.array([stream.position for stream in streams], dtype=np.int64)
+    positions += used
     record_seeds = seeds[segment_of]
     record = np.arange(total) - starts[segment_of]
     jitter_draw = positions[segment_of] + 2 * record + 1
@@ -254,40 +305,32 @@ def level_overhead(
     return overhead
 
 
-def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
-    """The full frontier of one page: every level × every classifier.
+def _observe_session(
+    session: int,
+    sizes: Sequence[int],
+    levels: Sequence[DefenseConfig],
+    design: StudyDesign,
+) -> Tuple[Dict[str, object], np.ndarray]:
+    """One page's result skeleton and its (level, sample, feature) stack.
 
-    One session is one array program.  Every level is observed first,
-    one feature pass covers the concatenated observation batch, and
-    each classifier fits all levels' models in one
-    :meth:`~repro.infer.classifiers.Classifier.fit_levels` call on the
-    (level, sample, feature) stack.
-
-    Returns a plain-JSON dict (checkpointable) of integer counters —
-    see :class:`repro.infer.summary.InferSummary.fold` for the shape.
+    Every level is observed first, and one feature pass covers the
+    concatenated observation batch.  Samples are the attacker's
+    training fetches (object-major, ``reps`` per object), then one
+    victim fetch per object.  The skeleton carries each level's
+    overhead entry with an empty ``classifiers`` dict for the fits to
+    fill in.
     """
-    workload = PopulationWorkload(design.seed, design.population)
-    page = workload.page_spec(session)
-    sizes = page.object_sizes[: design.max_objects]
     count = len(sizes)
     plaintext = [
         base_plaintext_records(body, design.chunk_bytes) for body in sizes
     ]
     base_wire = [defended_wire_records(rec, defense_level("off")) for rec in plaintext]
     labels = list(range(count))
-    result: Dict[str, object] = {
-        "session": session,
-        "objects": count,
-        "levels": {},
-    }
-    train_labels = [obj for obj in labels for _ in range(design.reps)]
-    levels = [defense_level(name) for name in design.levels]
-    defended = [
-        [defended_wire_records(rec, level) for rec in plaintext]
-        for level in levels
-    ]
+    objects = [obj for obj in labels for _ in range(design.reps)] + labels
+    entries: Dict[str, Dict[str, object]] = {}
     batches = []
-    for level, records in zip(levels, defended):
+    for level in levels:
+        records = [defended_wire_records(rec, level) for rec in plaintext]
         streams = [
             observation_stream(design, "train", level, session, obj, rep)
             for obj in labels
@@ -296,39 +339,95 @@ def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
             observation_stream(design, "victim", level, session, obj, 0)
             for obj in labels
         ]
-        batches.append(
-            observe(train_labels + labels, streams, records, level, design)
-        )
+        batches.append(observe(objects, streams, records, level, design))
+        entry = level_overhead(base_wire, records, level, design).to_json()
+        entry["classifiers"] = {}
+        entries[level.name] = entry
     batch = ObservationBatch(*map(np.concatenate, zip(*batches)))
     features = extract_features_auto(batch, design.features).reshape(
-        len(levels), len(train_labels) + count, -1
+        len(levels), len(objects), -1
     )
-    train_features = features[:, : len(train_labels)]
-    victim_features = features[:, len(train_labels):]
+    return {"session": session, "objects": count, "levels": entries}, features
 
-    correct: List[Dict[str, int]] = [{} for _ in levels]
-    for classifier_name in design.classifiers:
-        models = [
-            resolve_classifier(classifier_name, counter_stream_base(
-                design.seed,
-                f"infer/clf/{level.name}/s{session}/{classifier_name}",
-            ))
+
+def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
+    """The full frontier of one page: every level × every classifier.
+
+    The one-session case of :func:`evaluate_sessions`.  Returns a
+    plain-JSON dict (checkpointable) of integer counters — see
+    :class:`repro.infer.summary.InferSummary.fold` for the shape.
+    """
+    return evaluate_sessions([session], design)[0]
+
+
+def evaluate_sessions(
+    sessions: Sequence[int], design: StudyDesign
+) -> List[Dict[str, object]]:
+    """The frontier of every page in ``sessions``, as one array program.
+
+    Sessions whose pages keep the same number of objects (after the
+    ``max_objects`` cut) share their training labels, so they form one
+    group.  Group by group, each session is observed and featurized in
+    turn, with one heartbeat per session, into the group's
+    (session·level, sample, feature) stack.  Then each classifier fits
+    all of the group's (session × level) models in one
+    :meth:`~repro.infer.classifiers.Classifier.fit_levels` call, and
+    predictions stay per model.  A model does not depend on what is
+    stacked beside it, so result ``i`` equals
+    ``evaluate_session(sessions[i], design)``.
+
+    Memory: a group's features stay in memory until its fits end —
+    ``levels × objects × (reps + 1)`` int64 vectors per session, about
+    23 KB at the ``repro infer`` defaults.
+
+    Returns one plain-JSON dict per session, in input order.
+    """
+    workload = PopulationWorkload(design.seed, design.population)
+    levels = [defense_level(name) for name in design.levels]
+    pages = [
+        workload.page_spec(session).object_sizes[: design.max_objects]
+        for session in sessions
+    ]
+    groups: Dict[int, List[int]] = {}
+    for position, sizes in enumerate(pages):
+        groups.setdefault(len(sizes), []).append(position)
+    results: List[Dict[str, object]] = [{} for _ in sessions]
+    for count, positions in groups.items():
+        labels = list(range(count))
+        train_labels = [obj for obj in labels for _ in range(design.reps)]
+        stack = np.empty((
+            len(positions), len(levels), len(train_labels) + count,
+            feature_length(design.features),
+        ), dtype=np.int64)
+        for slot, position in enumerate(positions):
+            results[position], stack[slot] = _observe_session(
+                sessions[position], pages[position], levels, design
+            )
+            heartbeat()
+        stack = stack.reshape(-1, *stack.shape[2:])
+        train_stack = stack[:, : len(train_labels)]
+        victim_stack = stack[:, len(train_labels):]
+        correct = [
+            results[position]["levels"][level.name]["classifiers"]
+            for position in positions
             for level in levels
         ]
-        type(models[0]).fit_levels(models, train_features, train_labels)
-        for model, victims, level_correct in zip(models, victim_features, correct):
-            predictions = model.predict(victims)
-            level_correct[classifier_name] = sum(
-                1 for predicted, truth in zip(predictions, labels)
-                if predicted == truth
-            )
-
-    for level_name, level, records, level_correct in zip(
-        design.levels, levels, defended, correct
-    ):
-        overhead = level_overhead(base_wire, records, level, design)
-        entry = overhead.to_json()
-        entry["classifiers"] = level_correct
-        result["levels"][level_name] = entry
-    heartbeat()
-    return result
+        members = [sessions[position] for position in positions]
+        for classifier_name in design.classifiers:
+            models = [
+                resolve_classifier(classifier_name, counter_stream_base(
+                    design.seed,
+                    f"infer/clf/{level.name}/s{session}/{classifier_name}",
+                ))
+                for session in members
+                for level in levels
+            ]
+            type(models[0]).fit_levels(models, train_stack, train_labels)
+            for model, victims, level_correct in zip(models, victim_stack, correct):
+                predictions = model.predict(victims)
+                level_correct[classifier_name] = sum(
+                    1 for predicted, truth in zip(predictions, labels)
+                    if predicted == truth
+                )
+        heartbeat()
+    return results

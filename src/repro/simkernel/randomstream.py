@@ -160,6 +160,15 @@ class CounterStream:
         """Draws consumed so far; the next draw has index ``position + 1``."""
         return self._index
 
+    def advance(self, draws: int) -> None:
+        """Consume ``draws`` draws without computing them.
+
+        For array kernels that compute a stream's draws at their
+        closed-form indices (:func:`draw64`) and must leave the stream
+        where the equivalent sequence of scalar calls would.
+        """
+        self._index += draws
+
     def _next64(self) -> int:
         self._index += 1
         return mix64((self.seed + self._index * SPLITMIX_GAMMA) & _MASK64)

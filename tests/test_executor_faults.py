@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from repro.experiments.executor import (
     TrialExecutionError,
     TrialExecutor,
     map_trials,
+    set_flush_fault_hook,
 )
 from repro.simkernel.randomstream import RandomStreams
 
@@ -405,6 +407,54 @@ def test_checkpoint_records_and_flushes_atomically(tmp_path):
         if name.startswith(".checkpoint-")
     ]
     assert leftovers == []  # temp file replaced, not left behind
+
+
+@contextmanager
+def _counted_checkpoint_writes():
+    """Count checkpoint writes through the (non-raising) flush hook."""
+    writes = []
+    set_flush_fault_hook(lambda: writes.append(1))
+    try:
+        yield writes
+    finally:
+        set_flush_fault_hook(None)
+
+
+@pytest.mark.parametrize("family", ["campaign", "infer"])
+def test_checkpointed_run_writes_once_per_shard(tmp_path, family):
+    # checkpoint_every=1 writes after every shard; the end of the map
+    # owes nothing more, and a resume of the finished run owes nothing.
+    from repro.campaign.engine import CampaignConfig, run_campaign
+    from repro.infer.campaign import InferCampaignConfig
+
+    if family == "campaign":
+        config = CampaignConfig(sessions=400, shard_size=100, seed=3)
+    else:
+        config = InferCampaignConfig(sessions=4, shard_size=1, seed=3)
+    with _counted_checkpoint_writes() as writes:
+        first = run_campaign(config, workers=1, checkpoint_dir=str(tmp_path))
+    assert len(writes) == config.shard_count == 4
+    with _counted_checkpoint_writes() as writes:
+        resumed = run_campaign(config, workers=1, checkpoint_dir=str(tmp_path))
+    assert writes == []
+    assert resumed.summary.digest() == first.summary.digest()
+
+
+def test_checkpoint_without_config_digest_is_resealed(tmp_path):
+    # A file written before configs sealed their digest: the resumed map
+    # has no trial left to run, yet still seals the file once.
+    path = str(tmp_path / "checkpoint.json")
+    legacy = Checkpoint(path)
+    for index in range(3):
+        legacy.record(index, _square(index))
+    policy = FaultTolerance(checkpoint_path=path, checkpoint_digest="abc123")
+    with _counted_checkpoint_writes() as writes:
+        assert map_trials(3, _square, fault_tolerance=policy) == [0, 1, 4]
+    assert len(writes) == 1
+    assert Checkpoint(path).config_digest == "abc123"
+    with _counted_checkpoint_writes() as writes:
+        map_trials(3, _square, fault_tolerance=policy)
+    assert writes == []
 
 
 def test_checkpoint_resume_is_deterministic_end_to_end(tmp_path):

@@ -163,10 +163,11 @@ SEEDS = st.integers(-(2**63), 2**64 + 2**20) | st.sampled_from(
 def level_stacks(draw):
     """(stack, labels, seeds): an (L, N, F) int64 stack sharing labels.
 
-    Every label value occurs at least once; some columns are constant
-    within a level (zero variance).
+    L runs up to 40 models, the (session × level) size one class-count
+    group of an infer shard reaches.  Every label value occurs at least
+    once; some columns are constant within a model (zero variance).
     """
-    levels = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 40))
     samples = draw(st.integers(2, 24))
     classes = draw(st.integers(2, min(8, samples)))
     width = draw(st.sampled_from([feature_length(FeatureConfig()), 1, 2, 5]))

@@ -100,6 +100,24 @@ KNOBS = st.fixed_dictionaries({
            "pause_us": 7, "mux_max_inserts": 4, "reps": 2, "seed": 5},
     level=DEFENSE_LEVELS[0], role="train", session=0,
 )
+@example(
+    page=(512, [100, 3000, 700, 9000]),  # pipelined chaff: no contamination
+    knobs={"gap_base_us": 400, "gap_jitter_us": 300, "pause_one_in": 20,
+           "pause_us": 8000, "mux_max_inserts": 4, "reps": 3, "seed": 2020},
+    level=DEFENSE_LEVELS[4], role="victim", session=17,
+)
+@example(
+    page=(256, [1000, 50, 4000]),  # an insert count that is always 0
+    knobs={"gap_base_us": 400, "gap_jitter_us": 300, "pause_one_in": 20,
+           "pause_us": 8000, "mux_max_inserts": 0, "reps": 2, "seed": 11},
+    level=DEFENSE_LEVELS[3], role="train", session=3,
+)
+@example(
+    page=(4096, [1, 4096, 2500, 17]),  # one DATA record per object
+    knobs={"gap_base_us": 400, "gap_jitter_us": 300, "pause_one_in": 20,
+           "pause_us": 8000, "mux_max_inserts": 6, "reps": 3, "seed": 7},
+    level=DEFENSE_LEVELS[3], role="train", session=42,
+)
 def test_batched_observe_matches_scalar_loop(page, knobs, level, role, session):
     chunk, bodies = page
     design = StudyDesign(chunk_bytes=chunk, **knobs)

@@ -22,7 +22,7 @@ from repro.infer.campaign import (
     InferShardTask,
     run_infer_campaign,
 )
-from repro.infer.dataset import StudyDesign, evaluate_session
+from repro.infer.dataset import StudyDesign, evaluate_session, evaluate_sessions
 from repro.infer.summary import InferSummary
 
 SMALL = StudyDesign(seed=2020, reps=2, max_objects=4)
@@ -80,6 +80,20 @@ def test_level_entries_do_not_depend_on_the_ladder(design, session):
         assert list(part["levels"]) == list(levels)
         for name in levels:
             assert part["levels"][name] == full["levels"][name]
+
+
+@pytest.mark.parametrize("design", [
+    InferCampaignConfig().design(),
+    dataclasses.replace(InferCampaignConfig().design(), reps=3, max_objects=8),
+], ids=["campaign", "reps3-objects8"])
+def test_shard_program_equals_one_session_at_a_time(design):
+    # A shard fits each class-count group as one stack; every session's
+    # result must still be the one it gets alone.  The shard is out of
+    # order and repeats a session; each group has several members.
+    shard = [7, 0, 1, 2, 3, 10, 11, 7]
+    results = evaluate_sessions(shard, design)
+    assert len({result["objects"] for result in results}) >= 2  # >= 2 groups
+    assert results == [evaluate_session(session, design) for session in shard]
 
 
 # -- summary folding -----------------------------------------------------
