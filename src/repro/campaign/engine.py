@@ -39,10 +39,11 @@ Two session engines:
   serialization phase.  Microseconds per session; this is what makes a
   10⁵–10⁷ session campaign tractable on CI-class hardware.
 * ``full`` — materialises each spec into a servable website and runs
-  the complete packet-level attacked load (topology, TCP, HTTP/2,
-  adversary), exactly like the E12 generalization study.  ~0.1 s per
-  session; used for small campaigns and for calibrating the analytic
-  model's serialization rate.
+  the complete packet-level attacked load (topology, TCP or QUIC,
+  HTTP/2, adversary) through the harness's one load path, exactly like
+  the E12 generalization study.  About 0.17 s per session per worker;
+  used for small campaigns and for calibrating the analytic model's
+  serialization rate.
 """
 
 from __future__ import annotations
@@ -353,82 +354,43 @@ def evaluate_page_full(
 ) -> Dict[str, Any]:
     """Packet-level evaluation of one session; returns fold kwargs.
 
-    Materialises the spec into a servable site and runs the complete
-    attacked load — the E12 generalization trial shape — then scores
-    identification with the real estimator/predictor pipeline.
-    Imports are local so analytic campaigns never touch the simulator.
+    Materialises the spec into a servable site and runs the attacked
+    load through :func:`repro.experiments.harness.run_load` — the E12
+    generalization trial shape: the trigger on the target's GET and a
+    400 ms escalated spacing — so a profiled campaign reports the
+    load's phases and counters.  The target is scored like E12 (see
+    :meth:`~repro.experiments.harness.TrialResult.score_target`) with
+    the model's predictor knobs.  ``broken`` is the browser giving up,
+    not a load cut at the horizon.  Imports are local so analytic
+    campaigns never touch the simulator.
     """
-    from repro.core.adversary import Adversary, AdversaryConfig
-    from repro.core.controller import NetworkController
-    from repro.core.estimator import SizeEstimator
-    from repro.core.metrics import MultiplexingReport
-    from repro.core.monitor import TrafficMonitor
+    from repro.core.adversary import AdversaryConfig
     from repro.core.predictor import SizePredictor
-    from repro.h2.client import H2Client
-    from repro.h2.server import H2Server, ServerConfig
-    from repro.netsim.topology import build_adversary_path
-    from repro.web.browser import Browser, BrowserConfig
+    from repro.experiments.harness import TrialConfig, run_load
     from repro.web.generator import generate_site_from_spec
 
     site = generate_site_from_spec(rng, spec)
-    topology = build_adversary_path(seed=rng.master_seed)
-    sim = topology.sim
-    server = H2Server(
-        sim, topology.server, 443, site.website.router,
-        config=ServerConfig(), trace=topology.trace, rng=rng,
-        transport=transport,
-    )
-    client = H2Client(
-        sim, topology.client, topology.server.endpoint(443),
-        trace=topology.trace, authority="population.example",
-        transport=transport,
-    )
-    browser = Browser(
-        sim, client, site.schedule, config=BrowserConfig(),
-        trace=topology.trace,
-    )
-    controller = NetworkController(
-        sim, topology.middlebox, rng, trace=topology.trace
-    )
     target_position = site.schedule.index_of(site.target_object_id) + 1
-    adversary = Adversary(
-        controller,
-        AdversaryConfig(
-            trigger_get_index=target_position,
-            escalated_jitter=0.400,
+    result = run_load(
+        site,
+        rng,
+        TrialConfig(
+            adversary=AdversaryConfig(
+                trigger_get_index=target_position,
+                escalated_jitter=0.400,
+            ),
+            horizon=horizon,
+            transport=transport,
         ),
-        trace=topology.trace,
+        trial=spec.session,
     )
-    adversary.arm()
-    browser.start()
-    while sim.now < horizon:
-        sim.run_until(min(sim.now + 0.5, horizon))
-        if browser.broken or browser.page_complete:
-            sim.run_until(min(sim.now + 0.3, horizon))
-            break
-
-    report = (
-        MultiplexingReport.from_layout(server.connections[0].tcp.layout)
-        if server.connections else MultiplexingReport()
-    )
-    serialized = report.min_degree(site.target_object_id) == 0.0
-
-    monitor = TrafficMonitor(topology.middlebox.capture)
-    estimates = SizeEstimator().estimate(monitor.response_packets())
     predictor = SizePredictor(
         site.website.size_map(),
         chunk_bytes=model.chunk_bytes,
         tolerance_abs=model.tolerance_abs,
         tolerance_rel=model.tolerance_rel,
     )
-    identified = False
-    match_error = 0
-    candidate = predictor.find_object(estimates, site.target_object_id)
-    if candidate is not None:
-        best = predictor.classify(candidate)
-        if best is not None and best.object_id == site.target_object_id:
-            identified = True
-            match_error = best.error
+    serialized, match = result.score_target(site.target_object_id, predictor)
 
     # Tolerance-window crowding is a property of the inventory itself.
     expected_target = predictor.expected_for(site.target_object_id)
@@ -448,11 +410,11 @@ def evaluate_page_full(
         "page_bytes": spec.page_bytes,
         "target_bytes": spec.target_size,
         "serialized": serialized,
-        "identified": identified,
+        "identified": match is not None,
         "confusers": confusers,
-        "match_error": match_error,
-        "broken": browser.broken,
-        "duration_us": round(sim.now * 1_000_000),
+        "match_error": match.error if match is not None else 0,
+        "broken": result.browser.broken,
+        "duration_us": round(result.duration * 1_000_000),
     }
 
 

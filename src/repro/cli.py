@@ -385,7 +385,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
         profiler = profiling.activate()
+    try:
+        return _run_experiment(args, parser, workers)
+    finally:
+        # Every exit path, early returns included, renders the report
+        # and leaves no profiler active in the calling process.
+        if profiler is not None:
+            for name, amount in profiling.hpack_cache_counters().items():
+                profiler.counters[name] = amount
+            profiling.deactivate()
+            print(profiler.render(), file=sys.stderr)
 
+
+def _run_experiment(args, parser, workers) -> int:
+    """Run one experiment command; returns the exit code."""
     if args.experiment == "baseline":
         from repro.experiments import baseline
         print(baseline.run(trials=args.trials, seed=args.seed,
@@ -490,13 +503,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report)
     elif args.experiment == "attack":
         _run_attack(args.trial if args.trial is not None else 0, args.seed)
-
-    if profiler is not None:
-        from repro import profiling
-        for name, amount in profiling.hpack_cache_counters().items():
-            profiler.counters[name] = amount
-        profiling.deactivate()
-        print(profiler.render(), file=sys.stderr)
     return 0
 
 

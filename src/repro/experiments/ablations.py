@@ -36,7 +36,6 @@ from repro.experiments.harness import (
     SpacingSetup,
     TrialConfig,
     TrialSummary,
-    summarize_result,
     summarize_trial,
 )
 from repro.experiments.report import format_table, percentage
@@ -190,11 +189,10 @@ class _SchedulerTrial:
     fifo: bool
 
     def __call__(self, trial: int) -> TrialSummary:
-        workload = VolunteerWorkload(seed=self.seed)
+        config = TrialConfig()
         if self.fifo:
-            outcome = _run_fifo_trial(trial, workload)
-            return summarize_result(outcome)
-        return summarize_trial(trial, workload, TrialConfig())
+            config.server = ServerConfig(scheduler_factory=FifoScheduler)
+        return summarize_trial(trial, VolunteerWorkload(seed=self.seed), config)
 
 
 def run_scheduler(trials: int = 15, seed: int = 7,
@@ -217,62 +215,6 @@ def run_scheduler(trials: int = 15, seed: int = 7,
             f"{percentage(identified, trials):.0f}%",
         ])
     return result
-
-
-def _run_fifo_trial(trial: int, workload: VolunteerWorkload):
-    """A baseline trial with a FIFO-scheduled server."""
-    return _run_trial_with_scheduler(
-        trial, workload, TrialConfig(), FifoScheduler
-    )
-
-
-def _run_trial_with_scheduler(trial, workload, config, scheduler_factory):
-    """run_trial variant with a custom server scheduler factory."""
-    from repro.core.controller import NetworkController
-    from repro.core.metrics import MultiplexingReport
-    from repro.core.monitor import TrafficMonitor as _Monitor
-    from repro.experiments.harness import TrialResult
-    from repro.h2.client import H2Client
-    from repro.h2.server import H2Server
-    from repro.web.browser import Browser
-
-    site = workload.session(trial)
-    rng = workload.trial_rng(trial)
-    topology = build_adversary_path(seed=rng.master_seed)
-    sim = topology.sim
-    server = H2Server(
-        sim, topology.server, 443, site.website.router,
-        config=config.server, trace=topology.trace, rng=rng,
-        scheduler_factory=scheduler_factory,
-    )
-    client = H2Client(
-        sim, topology.client, topology.server.endpoint(443),
-        trace=topology.trace, authority="www.isidewith.com",
-    )
-    browser = Browser(sim, client, site.schedule, config=config.browser,
-                      trace=topology.trace)
-    controller = NetworkController(sim, topology.middlebox, rng,
-                                   trace=topology.trace)
-    browser.start()
-    while sim.now < config.horizon:
-        sim.run_until(min(sim.now + 0.5, config.horizon))
-        if browser.broken:
-            break
-        if browser.page_complete:
-            sim.run_until(min(sim.now + config.settle_time, config.horizon))
-            break
-    report = (
-        MultiplexingReport.from_layout(server.connections[0].tcp.layout)
-        if server.connections else MultiplexingReport()
-    )
-    return TrialResult(
-        trial=trial, site=site, topology=topology, server=server,
-        client=client, browser=browser, controller=controller,
-        adversary=None, monitor=_Monitor(topology.middlebox.capture),
-        report=report, trace=topology.trace,
-        completed=browser.page_complete and not browser.broken,
-        duration=sim.now,
-    )
 
 
 # ---------------------------------------------------------------------------

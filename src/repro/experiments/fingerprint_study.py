@@ -16,19 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controller import NetworkController
 from repro.core.estimator import SizeEstimator
 from repro.core.fingerprint import PageFingerprinter, trace_features
 from repro.core.monitor import TrafficMonitor
 from repro.experiments.executor import TrialExecutor
+from repro.experiments.harness import SpacingSetup, TrialConfig, run_load
 from repro.experiments.report import format_table, percentage
-from repro.h2.client import H2Client
-from repro.h2.server import H2Server, ServerConfig
-from repro.netsim.topology import build_adversary_path
 from repro.simkernel.randomstream import RandomStreams
-from repro.web.browser import Browser, BrowserConfig
 from repro.web.objects import WebObject
-from repro.web.site import LoadSchedule, ScheduledRequest, Website
+from repro.web.site import LoadSchedule, Page, ScheduledRequest, Website
 
 #: Every page transfers this many application bytes in total.
 PAGE_TOTAL_BYTES = 240_000
@@ -87,29 +83,14 @@ def _visit(
     spacing: float = 0.350,
 ) -> TrafficMonitor:
     """One page visit; returns the gateway's view of it."""
-    topology = build_adversary_path(seed=rng.master_seed)
-    sim = topology.sim
-    H2Server(
-        sim, topology.server, 443, website.router,
-        config=ServerConfig(), trace=topology.trace, rng=rng,
+    page = Page(website, _page_schedule(website, rng), "world.example")
+    config = TrialConfig(
+        controller_setup=(
+            SpacingSetup(spacing, noise_fraction=0.1) if attacked else None
+        ),
+        horizon=30.0,
     )
-    client = H2Client(
-        sim, topology.client, topology.server.endpoint(443),
-        trace=topology.trace, authority="world.example",
-    )
-    browser = Browser(sim, client, _page_schedule(website, rng),
-                      config=BrowserConfig(), trace=topology.trace)
-    if attacked:
-        controller = NetworkController(sim, topology.middlebox, rng,
-                                       trace=topology.trace)
-        controller.install_spacing(spacing, noise_fraction=0.1)
-    browser.start()
-    while sim.now < 30.0:
-        sim.run_until(min(sim.now + 0.5, 30.0))
-        if browser.page_complete or browser.broken:
-            sim.run_until(min(sim.now + 0.3, 30.0))
-            break
-    return TrafficMonitor(topology.middlebox.capture)
+    return run_load(page, rng, config).monitor
 
 
 @dataclass(frozen=True)

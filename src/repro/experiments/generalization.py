@@ -15,19 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.adversary import Adversary, AdversaryConfig
-from repro.core.controller import NetworkController
-from repro.core.estimator import SizeEstimator
-from repro.core.metrics import MultiplexingReport
-from repro.core.monitor import TrafficMonitor
-from repro.core.predictor import SizePredictor
+from repro.core.adversary import AdversaryConfig
 from repro.experiments.executor import TrialExecutor
+from repro.experiments.harness import TrialConfig, run_load
 from repro.experiments.report import format_table, percentage
-from repro.h2.client import H2Client
-from repro.h2.server import H2Server, ServerConfig
-from repro.netsim.topology import build_adversary_path
 from repro.simkernel.randomstream import RandomStreams
-from repro.web.browser import Browser, BrowserConfig
 from repro.web.generator import GeneratedSite, generate_site
 
 
@@ -57,52 +49,16 @@ def run_generated_trial(
     site = generate_site(
         rng, object_count=object_count, size_collision=size_collision
     )
-    topology = build_adversary_path(seed=rng.master_seed)
-    sim = topology.sim
-    server = H2Server(
-        sim, topology.server, 443, site.website.router,
-        config=ServerConfig(), trace=topology.trace, rng=rng,
-    )
-    client = H2Client(
-        sim, topology.client, topology.server.endpoint(443),
-        trace=topology.trace, authority="generated.example",
-    )
-    browser = Browser(sim, client, site.schedule, config=BrowserConfig(),
-                      trace=topology.trace)
-    controller = NetworkController(sim, topology.middlebox, rng,
-                                   trace=topology.trace)
     target_position = site.schedule.index_of(site.target_object_id) + 1
-    adversary = Adversary(
-        controller,
-        AdversaryConfig(
+    config = TrialConfig(
+        adversary=AdversaryConfig(
             trigger_get_index=target_position,
             escalated_jitter=escalated_spacing,
-        ),
-        trace=topology.trace,
+        )
     )
-    adversary.arm()
-    browser.start()
-    while sim.now < 40.0:
-        sim.run_until(min(sim.now + 0.5, 40.0))
-        if browser.broken or browser.page_complete:
-            sim.run_until(min(sim.now + 0.3, 40.0))
-            break
-
-    report = (
-        MultiplexingReport.from_layout(server.connections[0].tcp.layout)
-        if server.connections else MultiplexingReport()
-    )
-    serialized = report.min_degree(site.target_object_id) == 0.0
-
-    monitor = TrafficMonitor(topology.middlebox.capture)
-    estimates = SizeEstimator().estimate(monitor.response_packets())
-    predictor = SizePredictor(site.website.size_map())
-    identified = False
-    candidate = predictor.find_object(estimates, site.target_object_id)
-    if candidate is not None:
-        best = predictor.classify(candidate)
-        identified = best is not None and best.object_id == site.target_object_id
-    return site, serialized, identified
+    result = run_load(site, rng, config, trial)
+    serialized, match = result.score_target(site.target_object_id)
+    return site, serialized, match is not None
 
 
 @dataclass(frozen=True)

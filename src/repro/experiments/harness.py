@@ -1,9 +1,16 @@
-"""Single-trial assembly and execution.
+"""Single-trial assembly and execution: the one page-load path.
 
-One *trial* is one volunteer's attacked (or baseline) page load: a
-fresh topology, server, browser, and optionally an adversary, run to
-page completion or a horizon.  Everything is seeded from the trial
-index so runs are exactly reproducible.
+One *trial* is one attacked (or baseline) page load: a fresh topology,
+server, client, browser, network controller and optionally an
+adversary, run to page completion or a horizon.  :func:`run_load` is
+the only place that wires and runs such a load; it takes a
+:class:`~repro.web.site.Page` — website, schedule and authority (the
+site's host name, which is on the wire) — plus the page's random
+streams and a :class:`TrialConfig`.  :func:`run_trial` runs volunteer
+``trial`` of a :class:`~repro.web.workload.VolunteerWorkload` through
+it; the generated-site study, the full-mode campaign, the
+fingerprinting study and the scheduler ablation call it with their own
+pages.  Everything is seeded, so runs are exactly reproducible.
 
 Besides the live :class:`TrialResult` (which holds the simulator,
 topology and server objects and therefore cannot leave the process
@@ -24,19 +31,21 @@ from repro.tcp.config import TCPConfig
 
 from repro.core.adversary import Adversary, AdversaryConfig
 from repro.core.controller import NetworkController
+from repro.core.estimator import SizeEstimator
 from repro.core.metrics import MultiplexingReport
 from repro.core.monitor import GetRequestObservation, TrafficMonitor
+from repro.core.predictor import Match, SizePredictor
 from repro.core.sequence import SequenceAttack, SequenceAttackResult
 from repro.h2.client import H2Client
 from repro.h2.server import H2Server, ServerConfig
 from repro.netsim.capture import Direction
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.topology import PathTopology, build_adversary_path
+from repro.simkernel.randomstream import RandomStreams
 from repro.simkernel.trace import TraceLog
 from repro.transport import resolve_transport
 from repro.web.browser import Browser, BrowserConfig
-from repro.web.isidewith import IsideWithSite
-from repro.web.site import LoadSchedule
+from repro.web.site import LoadSchedule, Page
 from repro.web.workload import VolunteerWorkload
 
 
@@ -93,10 +102,14 @@ class TrialConfig:
 
 @dataclass
 class TrialResult:
-    """Everything one trial produced."""
+    """Everything one page load produced.
+
+    ``site`` is the loaded page; :meth:`analyze` needs the isidewith
+    page that :func:`run_trial` loads.
+    """
 
     trial: int
-    site: IsideWithSite
+    site: Page
     topology: PathTopology
     server: H2Server
     client: H2Client
@@ -145,6 +158,32 @@ class TrialResult:
 
     def stream_resets(self) -> int:
         return len(self.trace.select(category="h2.rst_stream.sent"))
+
+    def score_target(
+        self,
+        object_id: str,
+        predictor: Optional[SizePredictor] = None,
+    ) -> Tuple[bool, Optional[Match]]:
+        """The paper's two halves of success (§V) for one target object.
+
+        The target is *serialized* when a serving of it has degree 0.
+        It is *identified* when the burst located for it (the estimate
+        nearest its expected size, within tolerance) best matches it
+        over the whole inventory; that match is returned, else None.
+        ``predictor`` defaults to one over the page's own size map.
+
+        Returns:
+            ``(serialized, match)``.
+        """
+        serialized = self.report.min_degree(object_id) == 0.0
+        if predictor is None:
+            predictor = SizePredictor(self.site.website.size_map())
+        estimates = SizeEstimator().estimate(self.monitor.response_packets())
+        candidate = predictor.find_object(estimates, object_id)
+        best = predictor.classify(candidate) if candidate is not None else None
+        if best is not None and best.object_id != object_id:
+            best = None
+        return serialized, best
 
     def analyze(
         self, attack: Optional[SequenceAttack] = None
@@ -362,9 +401,30 @@ def run_trial(
     workload: VolunteerWorkload,
     config: Optional[TrialConfig] = None,
 ) -> TrialResult:
-    """Assemble and run one trial end to end.
+    """Run volunteer ``trial``'s isidewith load through :func:`run_load`.
 
-    When a profiler is active (see :mod:`repro.profiling`) the trial's
+    The page is ``workload.session(trial)``, whose authority is
+    ``www.isidewith.com``; its streams are ``workload.trial_rng(trial)``.
+    """
+    return run_load(
+        workload.session(trial), workload.trial_rng(trial), config, trial
+    )
+
+
+def run_load(
+    page: Page,
+    rng: RandomStreams,
+    config: Optional[TrialConfig] = None,
+    trial: int = 0,
+) -> TrialResult:
+    """Assemble and run one page load end to end.
+
+    ``rng`` seeds the topology and feeds the server's think times and
+    the controller's actuator noise; ``trial`` only labels the result.
+    The load runs in 0.5 s slices until the page completes (then for
+    ``config.settle_time`` more), the browser gives up, or the horizon.
+
+    When a profiler is active (see :mod:`repro.profiling`) the load's
     phases are wall-clock timed and its subsystem counters harvested
     after the run.  Profiling only *reads* state the simulation already
     maintains, so results are byte-identical with it on or off.
@@ -372,8 +432,6 @@ def run_trial(
     profiler = profiling.active()
     phase_start = time.perf_counter() if profiler is not None else 0.0
     config = config or TrialConfig()
-    site = workload.session(trial)
-    rng = workload.trial_rng(trial)
 
     fault_at = config.fault_location
     topology = build_adversary_path(
@@ -399,7 +457,7 @@ def run_trial(
         sim,
         topology.server,
         443,
-        site.website.router,
+        page.website.router,
         config=config.server,
         tcp_config=server_tcp,
         trace=trace,
@@ -412,10 +470,10 @@ def run_trial(
         topology.server.endpoint(443),
         tcp_config=config.tcp,
         trace=trace,
-        authority="www.isidewith.com",
+        authority=page.authority,
         transport=transport,
     )
-    schedule = config.schedule_override or site.schedule
+    schedule = config.schedule_override or page.schedule
     browser = Browser(sim, client, schedule, config=config.browser, trace=trace)
 
     controller = NetworkController(sim, topology.middlebox, rng, trace=trace)
@@ -477,7 +535,7 @@ def run_trial(
 
     return TrialResult(
         trial=trial,
-        site=site,
+        site=page,
         topology=topology,
         server=server,
         client=client,

@@ -94,6 +94,8 @@ class ServerConfig:
         pipeline_responses: serialize response emission — a response's
             HEADERS wait until every earlier response on the connection
             has finished, trading multiplexing (the leak) for latency.
+        scheduler_factory: builds one multiplexing scheduler per client
+            connection (default: round-robin — a multi-threaded server).
     """
 
     think_time: float = 0.001
@@ -111,6 +113,7 @@ class ServerConfig:
     #: promised streams, in order.  The §VII push defense builds on
     #: this to deliver the emblem images in a canonical order.
     push_map: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    scheduler_factory: Callable[[], MuxScheduler] = RoundRobinScheduler
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
@@ -168,7 +171,7 @@ class _ServedConnection:
             self.tls,
             H2Role.SERVER,
             settings=server.settings,
-            scheduler=server._scheduler_factory(),
+            scheduler=server.config.scheduler_factory(),
             trace=server._trace,
             send_buffer_limit=server.config.send_buffer_limit,
             name=f"h2-server:{tcp.remote}",
@@ -365,8 +368,6 @@ class H2Server:
 
     Args:
         router: path → :class:`ResourceSpec` lookup (the website).
-        scheduler_factory: builds one multiplexing scheduler per client
-            connection (default: round-robin — a multi-threaded server).
     """
 
     def __init__(
@@ -378,7 +379,6 @@ class H2Server:
         config: Optional[ServerConfig] = None,
         settings: Optional[H2Settings] = None,
         tcp_config: Optional[TCPConfig] = None,
-        scheduler_factory: Optional[Callable[[], MuxScheduler]] = None,
         trace: Optional[TraceLog] = None,
         rng: Optional[RandomStreams] = None,
         transport: Optional[str] = None,
@@ -390,7 +390,6 @@ class H2Server:
         self.settings = settings or default_server_settings()
         self._trace = trace
         self._rng = rng
-        self._scheduler_factory = scheduler_factory or RoundRobinScheduler
         factory = get_transport(transport)
         tcp_config = factory.server_config(
             tcp_config, self.config.serve_duplicate_requests

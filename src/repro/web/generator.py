@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.simkernel.randomstream import RandomStreams
 from repro.web.objects import WebObject
-from repro.web.site import LoadSchedule, ScheduledRequest, Website
+from repro.web.site import LoadSchedule, Page, ScheduledRequest, Website
 from repro.web.workload import PageSpec
 
 #: Content-type mix of a typical page (type, extension, size range).
@@ -35,11 +35,9 @@ _STATIC_THINK = (0.0005, 0.004)
 
 
 @dataclass
-class GeneratedSite:
-    """A generated website plus its load schedule and target object."""
+class GeneratedSite(Page):
+    """A generated page plus the id of its target object."""
 
-    website: Website
-    schedule: LoadSchedule
     target_object_id: str
 
     @property
@@ -137,6 +135,7 @@ def generate_site(
     return GeneratedSite(
         website=website,
         schedule=LoadSchedule(requests),
+        authority="generated.example",
         target_object_id="target",
     )
 
@@ -193,5 +192,6 @@ def generate_site_from_spec(
     return GeneratedSite(
         website=website,
         schedule=LoadSchedule(requests),
+        authority="population.example",
         target_object_id="target",
     )

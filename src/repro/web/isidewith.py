@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.web.objects import WebObject
-from repro.web.site import LoadSchedule, ScheduledRequest, Website
+from repro.web.site import LoadSchedule, Page, ScheduledRequest, Website
 
 #: The 8 political parties of the 2020 survey.
 PARTIES: Tuple[str, ...] = (
@@ -73,12 +73,10 @@ STATIC_THINK = (0.0005, 0.004)  # files off disk / cache
 
 
 @dataclass
-class IsideWithSite:
-    """One concrete result-page load: site content plus schedule.
+class IsideWithSite(Page):
+    """One concrete result-page load plus its ground truth.
 
     Attributes:
-        website: all servable objects.
-        schedule: the browser's request sequence for this load.
         party_order: ground-truth preference order (the survey answer
             the adversary tries to recover).
         html_index: 0-based schedule position of the result HTML
@@ -86,8 +84,6 @@ class IsideWithSite:
         image_indices: schedule positions of the 8 emblem images.
     """
 
-    website: Website
-    schedule: LoadSchedule
     party_order: Tuple[str, ...]
     html_index: int
     image_indices: Tuple[int, ...]
@@ -283,6 +279,7 @@ def build_isidewith_site(
     return IsideWithSite(
         website=website,
         schedule=schedule,
+        authority="www.isidewith.com",
         party_order=tuple(party_order),
         html_index=html_index,
         image_indices=tuple(image_indices),

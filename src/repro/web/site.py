@@ -113,3 +113,20 @@ class Website:
 
     def __repr__(self) -> str:
         return f"Website({self.name!r}, {len(self.objects)} objects)"
+
+
+@dataclass
+class Page:
+    """What one page load needs: content, request order and host name.
+
+    Attributes:
+        website: the objects the server serves.
+        schedule: the browser's request sequence for this load.
+        authority: the site's host name.  Every request carries it as
+            ``:authority``, so it is on the wire (HPACK-coded) and each
+            kind of page keeps its own.
+    """
+
+    website: Website
+    schedule: LoadSchedule
+    authority: str

@@ -345,3 +345,16 @@ def test_campaign_full_mode_smoke():
     assert first.summary.sessions == 4
     assert first.summary.sums["duration_us"] > 0
     assert first.summary.counts["serialized"] >= 1
+
+
+@pytest.mark.parametrize("transport, digest", [
+    ("tcp", "2b8c9926861e3f4ebacddcd29bbc3e4f12132e7ea6b20496472e222870b020c0"),
+    ("quic", "a74ef0b63172757895d42f8341b921b4cf25d5493fc20ea3b68132fe616740f0"),
+])
+def test_campaign_full_mode_digest_pinned(transport, digest):
+    # Packet-level sessions over both transports: any change to the
+    # load path's wiring or draw order moves these digests.
+    config = CampaignConfig(
+        sessions=8, shard_size=4, mode="full", transport=transport
+    )
+    assert run_campaign(config, workers=1).digest() == digest

@@ -28,14 +28,13 @@ def _headers_span(client):
     raise AssertionError("no HEADERS record found in client layout")
 
 
-def _stack(seed=21, server_config=None, scheduler_factory=None):
+def _stack(seed=21, server_config=None):
     topology = build_adversary_path(seed=seed)
     server = H2Server(
         topology.sim, topology.server, 443,
         lambda path: RESOURCES.get(path),
         config=server_config or ServerConfig(),
         trace=topology.trace,
-        scheduler_factory=scheduler_factory,
     )
     client = H2Client(
         topology.sim, topology.client, topology.server.endpoint(443),
@@ -104,7 +103,9 @@ def test_concurrent_responses_interleave():
 
 
 def test_fifo_scheduler_serializes():
-    topology, server, client = _stack(scheduler_factory=FifoScheduler)
+    topology, server, client = _stack(
+        server_config=ServerConfig(scheduler_factory=FifoScheduler)
+    )
     def go():
         client.get("/a.png")
         client.get("/b.png")

@@ -9,19 +9,20 @@ from repro.h2.mux import PriorityScheduler
 from repro.h2.server import H2Server, ResourceSpec, ServerConfig
 from repro.netsim.topology import build_adversary_path
 
+PRIORITY = ServerConfig(scheduler_factory=PriorityScheduler)
+
 RESOURCES = {
     "/a.bin": ResourceSpec("/a.bin", 30_000, "application/octet-stream"),
     "/b.bin": ResourceSpec("/b.bin", 30_000, "application/octet-stream"),
 }
 
 
-def _stack(seed=61, scheduler_factory=None):
+def _stack(seed=61, server_config=None):
     topology = build_adversary_path(seed=seed)
     server = H2Server(
         topology.sim, topology.server, 443,
         lambda path: RESOURCES.get(path),
-        config=ServerConfig(), trace=topology.trace,
-        scheduler_factory=scheduler_factory,
+        config=server_config or ServerConfig(), trace=topology.trace,
     )
     client = H2Client(
         topology.sim, topology.client, topology.server.endpoint(443),
@@ -55,7 +56,7 @@ def test_goaway_received_flag():
 
 
 def test_priority_frame_updates_server_tree():
-    topology, server, client = _stack(scheduler_factory=PriorityScheduler)
+    topology, server, client = _stack(server_config=PRIORITY)
     def go():
         client.get("/a.bin")
         client.get("/b.bin")
@@ -71,7 +72,7 @@ def test_priority_frame_updates_server_tree():
 
 
 def test_priority_frame_after_responses_sets_parent():
-    topology, server, client = _stack(scheduler_factory=PriorityScheduler)
+    topology, server, client = _stack(server_config=PRIORITY)
     def go():
         client.get("/a.bin")
         client.get("/b.bin")
@@ -102,7 +103,7 @@ def test_client_counts_junk_data_after_reset():
 
 
 def test_request_priority_weight_reaches_server():
-    topology, server, client = _stack(scheduler_factory=PriorityScheduler)
+    topology, server, client = _stack(server_config=PRIORITY)
     client.on_ready = lambda: client.get("/a.bin", priority_weight=99)
     client.connect()
     topology.sim.run_until(5.0)

@@ -217,6 +217,21 @@ def test_cli_profile_flag_keeps_stdout_identical(capsys):
     assert profiling.active() is None  # flag cleaned up after the run
 
 
+def test_cli_profile_covers_full_mode_campaign(capsys):
+    # Commands that return early (campaign, infer, robustness-study)
+    # still render the report, and the full-mode session runs through
+    # the harness, so its trial phases show.
+    argv = ["campaign", "--mode", "full", "--sessions", "2",
+            "--shard-size", "2", "--workers", "1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--profile"]) == 0
+    profiled = capsys.readouterr()
+    assert profiled.out == plain.out
+    assert "trial.simulate" in profiled.err
+    assert profiling.active() is None
+
+
 def test_cli_profile_subcommand(capsys):
     assert main(["profile"]) == 0
     captured = capsys.readouterr()
