@@ -20,6 +20,7 @@ class ReassemblyBuffer:
     """Byte-range reassembly with a cumulative delivery pointer."""
 
     def __init__(self, initial_seq: int = 0) -> None:
+        self._initial_seq = initial_seq
         self._rcv_nxt = initial_seq
         # Sorted, with a gap between neighbours; every start > rcv_nxt.
         self._segments: List[Tuple[int, int]] = []
@@ -34,6 +35,17 @@ class ReassemblyBuffer:
     def out_of_order_ranges(self) -> List[Tuple[int, int]]:
         """Buffered ranges beyond the cumulative point (copy)."""
         return list(self._segments)
+
+    def received_ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """Everything received, as sorted and strictly disjoint ranges.
+
+        The cumulative range ``[initial_seq, rcv_nxt)`` comes first when
+        it is non-empty, then the out-of-order ranges, which all start
+        above ``rcv_nxt``.
+        """
+        if self._rcv_nxt > self._initial_seq:
+            return ((self._initial_seq, self._rcv_nxt), *self._segments)
+        return tuple(self._segments)
 
     @property
     def has_gap(self) -> bool:
@@ -56,36 +68,46 @@ class ReassemblyBuffer:
             ``(new_rcv_nxt, was_duplicate)`` where ``was_duplicate`` is
             True when the range contributed no new bytes.
         """
+        new_bytes = self.merge(start, end)
+        return self._rcv_nxt, not new_bytes
+
+    def merge(self, start: int, end: int) -> int:
+        """Accept ``[start, end)``; return how many of its bytes are new.
+
+        A non-empty range that covers nothing new counts toward
+        ``duplicate_bytes``.
+        """
         if end <= start:
-            return self._rcv_nxt, True
+            return 0
         if end <= self._rcv_nxt:
             self.duplicate_bytes += end - start
-            return self._rcv_nxt, True
-
-        clipped_start = max(start, self._rcv_nxt)
-        new_bytes = self._insert(clipped_start, end)
+            return 0
+        new_bytes = self._insert(max(start, self._rcv_nxt), end)
         if not new_bytes:
             self.duplicate_bytes += end - start
         self._advance()
-        return self._rcv_nxt, not new_bytes
+        return new_bytes
 
-    def _insert(self, start: int, end: int) -> bool:
-        """Merge non-empty ``[start, end)`` into the buffered set; True
-        if it added at least one new byte."""
+    def _insert(self, start: int, end: int) -> int:
+        """Merge non-empty ``[start, end)`` into the buffered set; return
+        how many of its bytes were not buffered yet."""
         segments = self._segments
         # The block of segments touching [start, end), adjacency included.
         lo = bisect_left(segments, start, key=_END)
         hi = bisect_right(segments, end, lo=lo, key=_START)
         if lo == hi:
             segments.insert(lo, (start, end))
-            return True
-        # With two or more segments in the block, end > first_end: the
-        # gap after the first one gets filled.
+            return end - start
+        # The block and [start, end) together tile the merged range, so
+        # the new bytes are what the block's own ranges leave of it.
         first_start, first_end = segments[lo]
-        added = start < first_start or end > first_end
-        last_end = segments[hi - 1][1]
-        segments[lo:hi] = [(min(start, first_start), max(end, last_end))]
-        return added
+        covered = first_end - first_start
+        if hi - lo > 1:
+            covered += sum(e - s for s, e in segments[lo + 1:hi])
+        merged_start = min(start, first_start)
+        merged_end = max(end, segments[hi - 1][1])
+        segments[lo:hi] = [(merged_start, merged_end)]
+        return merged_end - merged_start - covered
 
     def _advance(self) -> None:
         while self._segments and self._segments[0][0] <= self._rcv_nxt:

@@ -274,13 +274,6 @@ class _RxStream:
         self.delivered_upto = 0
 
 
-def _acked_total(buffer: ReassemblyBuffer) -> int:
-    """Total bytes covered by a sender's acked-range buffer."""
-    return buffer.rcv_nxt + sum(
-        end - start for start, end in buffer.out_of_order_ranges
-    )
-
-
 class QuicConnection:
     """One endpoint of a simulated QUIC-like connection.
 
@@ -316,6 +309,7 @@ class QuicConnection:
         self._tx_streams: Dict[int, _TxStream] = {}
         self._pending: Deque[_PendingRange] = deque()
         self._retx: Deque[_PendingRange] = deque()
+        # Ascending pn; see ``_handle_acks`` for what it holds.
         self._sent: Dict[int, _SentPacket] = {}
         self._next_pn = 0
         self._largest_acked = -1
@@ -409,7 +403,9 @@ class QuicConnection:
         """
         span = self.layout.append(message, length)
         stream_id = self._classify_stream(message)
-        tx = self._tx_streams.setdefault(stream_id, _TxStream())
+        tx = self._tx_streams.get(stream_id)
+        if tx is None:
+            tx = self._tx_streams[stream_id] = _TxStream()
         stream_span = tx.layout.append(message, span.length)
         self._pending.append(
             _PendingRange(
@@ -529,15 +525,39 @@ class QuicConnection:
     # -- acknowledgements --------------------------------------------------
 
     def _handle_acks(self, ack_ranges: Tuple[Tuple[int, int], ...]) -> None:
-        # ``ack_ranges`` is sorted and disjoint (see ``_ack_ranges``), so
-        # only the last range starting at or before ``pn`` can hold it.
-        newly_acked: List[Tuple[int, _SentPacket]] = []
-        for pn, record in self._sent.items():
-            if record.acked:
-                continue
-            index = bisect_right(ack_ranges, pn, key=_RANGE_START)
-            if index and pn < ack_ranges[index - 1][1]:
-                newly_acked.append((pn, record))
+        """Resolve the sent packets that ``ack_ranges`` acknowledges.
+
+        ``_sent`` follows insertion order, so its packet numbers ascend.
+        Between calls it holds every unresolved packet, preceded by the
+        packets the last PTOs declared lost: those stay until the next
+        ACK that acknowledges something, so they can still be acked (and
+        count their payload, their stream bytes and their RTT sample)
+        before it purges them.
+
+        ``ack_ranges`` is sorted and disjoint (see ``_ack_ranges``).  One
+        bisection finds the range that can hold the oldest packet; the
+        walk then advances through ``_sent`` and the ranges together and
+        stops at the first packet past the last range.  An ACK whose
+        ranges all end at or below the oldest packet costs no walk.
+        """
+        sent = self._sent
+        if not sent or not ack_ranges:
+            return
+        last_end = ack_ranges[-1][1]
+        oldest = next(iter(sent))
+        if oldest >= last_end:
+            return
+        index = max(bisect_right(ack_ranges, oldest, key=_RANGE_START) - 1, 0)
+        range_start, range_end = ack_ranges[index]
+        newly_acked: List[int] = []
+        for pn in sent:
+            if pn >= last_end:
+                break
+            while pn >= range_end:
+                index += 1
+                range_start, range_end = ack_ranges[index]
+            if pn >= range_start:
+                newly_acked.append(pn)
         if not newly_acked:
             return
 
@@ -545,16 +565,17 @@ class QuicConnection:
         acked_stream_bytes = 0
         largest = self._largest_acked
         sample: Optional[float] = None
-        for pn, record in newly_acked:
+        tx_streams = self._tx_streams
+        for pn in newly_acked:
+            record = sent.pop(pn)
             record.acked = True
             if not record.lost:
                 self._in_flight -= record.payload_bytes
             acked_payload += record.payload_bytes
             for chunk in record.chunks:
-                tx = self._tx_streams[chunk.stream_id]
-                before = _acked_total(tx.acked)
-                tx.acked.receive(chunk.start, chunk.end)
-                acked_stream_bytes += _acked_total(tx.acked) - before
+                acked_stream_bytes += tx_streams[chunk.stream_id].acked.merge(
+                    chunk.start, chunk.end
+                )
             if pn > largest:
                 largest = pn
                 sample = (
@@ -562,6 +583,14 @@ class QuicConnection:
                     if not record.is_retransmission
                     else None
                 )
+        # Purge the PTO-declared losses this ACK did not acknowledge.
+        stale: List[int] = []
+        for pn, record in sent.items():
+            if not record.lost:
+                break
+            stale.append(pn)
+        for pn in stale:
+            del sent[pn]
         self._largest_acked = largest
         self._acked_bytes += acked_stream_bytes
 
@@ -580,25 +609,27 @@ class QuicConnection:
         if acked_stream_bytes > 0 and self.on_writable:
             self.on_writable()
         self._maybe_send_close()
-        # Drop fully-resolved packets so the map stays window-sized.
-        self._sent = {
-            pn: record
-            for pn, record in self._sent.items()
-            if not (record.acked or record.lost)
-        }
 
     def _detect_losses(self) -> None:
-        """Packet-threshold loss detection (RFC 9002 §6.1.1)."""
+        """Packet-threshold loss detection (RFC 9002 §6.1.1).
+
+        Runs right after ``_handle_acks`` resolved its packets, when
+        ``_sent`` holds only unresolved packets in ascending order: the
+        walk declares lost every packet up to the threshold, stops at
+        the first one above it, and removes the lost ones from ``_sent``.
+        """
         threshold = self._largest_acked - self.config.packet_reorder_threshold
-        lost: List[Tuple[int, _SentPacket]] = []
-        for pn, record in self._sent.items():
-            if record.acked or record.lost:
-                continue
-            if pn <= threshold:
-                lost.append((pn, record))
+        sent = self._sent
+        lost: List[int] = []
+        for pn in sent:
+            if pn > threshold:
+                break
+            lost.append(pn)
         if not lost:
             return
-        for pn, record in lost:
+        first = sent[lost[0]]
+        for pn in lost:
+            record = sent.pop(pn)
             record.lost = True
             self._in_flight -= record.payload_bytes
             self._requeue(record)
@@ -606,11 +637,10 @@ class QuicConnection:
             self.cc.on_fast_retransmit(
                 max(self._in_flight, 0), self._acked_bytes + self._in_flight
             )
-        first_pn, first = min(lost)
         self._record(
             "quic.retransmit",
             kind="fast",
-            pn=first_pn,
+            pn=lost[0],
             length=first.payload_bytes,
         )
 
@@ -764,10 +794,12 @@ class QuicConnection:
             self._pto_timer.start(self.rto.rto)
             self._record("quic.retransmit", kind="handshake")
             return
+        # Lost records stay in ``_sent`` until the next productive ACK
+        # (see ``_handle_acks``); they lead it, in ascending order.
         outstanding = [
             (pn, record)
             for pn, record in self._sent.items()
-            if not record.acked and not record.lost
+            if not record.lost
         ]
         if not outstanding:
             return
@@ -776,10 +808,10 @@ class QuicConnection:
         self._record(
             "quic.retransmit",
             kind="pto",
-            pn=min(pn for pn, _ in outstanding),
+            pn=outstanding[0][0],
             rto=self.rto.rto,
         )
-        for _, record in sorted(outstanding):
+        for _, record in outstanding:
             record.lost = True
             self._in_flight -= record.payload_bytes
             self._requeue(record)
@@ -823,13 +855,9 @@ class QuicConnection:
 
         The cumulative range ``[0, rcv_nxt)`` comes first, then the
         buffer's ascending out-of-order ranges, which all start above
-        ``rcv_nxt``; the peer's ``_handle_acks`` bisects on this order.
+        ``rcv_nxt``; the peer's ``_handle_acks`` walks this order.
         """
-        ranges: List[Tuple[int, int]] = []
-        if self._pn_buffer.rcv_nxt > 0:
-            ranges.append((0, self._pn_buffer.rcv_nxt))
-        ranges.extend(self._pn_buffer.out_of_order_ranges)
-        return tuple(ranges)
+        return self._pn_buffer.received_ranges()
 
     def _send_ack_now(self) -> None:
         self._ack_timer.cancel()

@@ -74,30 +74,23 @@ class StreamLayout:
         self._next_seq = span.end
         return span
 
+    # Spans tile the sequence space in order, so both ``_starts`` and
+    # ``_ends`` are strictly increasing: each range query below is two
+    # bisections and one slice.
+
     def spans_overlapping(self, start: int, end: int) -> List[MessageSpan]:
         """All spans intersecting ``[start, end)``."""
         if end <= start:
             return []
-        # First span that could overlap: the one whose start is <= start,
-        # found via the start-sorted index.
-        index = bisect.bisect_right(self._starts, start) - 1
-        if index < 0:
-            index = 0
-        result = []
-        for span in self._spans[index:]:
-            if span.start >= end:
-                break
-            if span.end > start:
-                result.append(span)
-        return result
+        low = bisect.bisect_right(self._ends, start)
+        high = bisect.bisect_left(self._starts, end)
+        return self._spans[low:high]
 
     def spans_contained(self, start: int, end: int) -> List[MessageSpan]:
         """Spans lying entirely inside ``[start, end)``."""
-        return [
-            span
-            for span in self.spans_overlapping(start, end)
-            if span.start >= start and span.end <= end
-        ]
+        low = bisect.bisect_left(self._starts, start)
+        high = bisect.bisect_right(self._ends, end)
+        return self._spans[low:high]
 
     def spans_starting_in(self, start: int, end: int) -> List[MessageSpan]:
         """Spans whose first byte falls inside ``[start, end)``.
@@ -105,11 +98,9 @@ class StreamLayout:
         This is what a per-packet observer (tshark) sees: a TLS record
         header is visible in the packet where the record begins.
         """
-        return [
-            span
-            for span in self.spans_overlapping(start, end)
-            if start <= span.start < end
-        ]
+        low = bisect.bisect_left(self._starts, start)
+        high = bisect.bisect_left(self._starts, end)
+        return self._spans[low:high]
 
     def spans_completed_by(self, upto: int) -> List[MessageSpan]:
         """Spans that end at or before sequence number ``upto``.

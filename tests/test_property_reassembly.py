@@ -97,6 +97,16 @@ class _ByteSetModel:
     def covers(self, start, end):
         return all(byte in self.have for byte in range(start, end))
 
+    def merge(self, start, end):
+        """Receive a range; return how many of its bytes were fresh."""
+        before = len(self.have)
+        self.receive(start, end)
+        return len(self.have) - before
+
+    def received_ranges(self):
+        prefix = [(0, self.rcv_nxt)] if self.rcv_nxt else []
+        return tuple(prefix + self.ranges())
+
 
 # Widths from 0 (an empty range) up; many land adjacent or overlapping.
 arrivals_strategy = st.lists(
@@ -162,6 +172,34 @@ def test_reassembly_matches_model_with_hundreds_of_holes(arrivals, probes):
     assert len(buffer.out_of_order_ranges) >= 300
 
 
+def _check_merge_against_model(arrivals):
+    buffer, model = ReassemblyBuffer(), _ByteSetModel()
+    for start, end in arrivals:
+        assert buffer.merge(start, end) == model.merge(start, end)
+        assert buffer.duplicate_bytes == model.duplicate_bytes
+    assert buffer.received_ranges() == model.received_ranges()
+    return buffer
+
+
+@given(arrivals_strategy)
+@settings(max_examples=300)
+def test_merge_counts_fresh_bytes_like_byte_set_model(arrivals):
+    """merge() returns the bytes a range newly covers; received_ranges()
+    lists the cumulative range and then every buffered one."""
+    _check_merge_against_model(arrivals)
+
+
+@given(sparse_arrivals())
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_merge_counts_fresh_bytes_with_hundreds_of_holes(arrivals):
+    buffer = _check_merge_against_model(arrivals + arrivals[:20])
+    assert len(buffer.out_of_order_ranges) >= 300
+
+
 @given(st.lists(st.integers(1, 5000), min_size=1, max_size=50))
 @settings(max_examples=200)
 def test_layout_partitions_sequence_space(lengths):
@@ -202,3 +240,41 @@ def test_layout_queries_consistent(lengths, start, width):
         assert span.start >= start and span.end <= end
     for span in starting:
         assert start <= span.start < end
+
+
+@given(
+    st.lists(st.integers(1, 2000), max_size=30),
+    st.integers(0, 300),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_layout_range_queries_match_brute_force(lengths, initial_seq, data):
+    """Each query equals a filter over every span, for empty, reversed
+    and out-of-range queries too."""
+    layout = StreamLayout(initial_seq)
+    for length in lengths:
+        layout.append(_Msg(length))
+    spans = layout.spans_completed_by(layout.next_seq)
+    edges = [initial_seq] + [span.end for span in spans]
+    position = st.one_of(
+        st.integers(initial_seq - 50, layout.next_seq + 500),
+        st.builds(
+            lambda edge, offset: edge + offset,
+            st.sampled_from(edges),
+            st.integers(-2, 2),
+        ),
+    )
+    for start, end in data.draw(
+        st.lists(st.tuples(position, position), min_size=1, max_size=20)
+    ):
+        assert layout.spans_overlapping(start, end) == [
+            span
+            for span in spans
+            if max(span.start, start) < min(span.end, end)
+        ]
+        assert layout.spans_contained(start, end) == [
+            span for span in spans if start <= span.start and span.end <= end
+        ]
+        assert layout.spans_starting_in(start, end) == [
+            span for span in spans if start <= span.start < end
+        ]

@@ -180,6 +180,16 @@ def test_reassembly_multiple_holes():
     assert buffer.rcv_nxt == 400
 
 
+def test_reassembly_received_ranges_start_at_initial_seq():
+    buffer = ReassemblyBuffer(initial_seq=1000)
+    assert buffer.received_ranges() == ()
+    buffer.receive(1200, 1300)
+    assert buffer.received_ranges() == ((1200, 1300),)
+    assert buffer.merge(1000, 1100) == 100
+    assert buffer.merge(1050, 1250) == 100  # only [1100, 1200) is new
+    assert buffer.received_ranges() == ((1000, 1300),)
+
+
 # -- RTOEstimator ------------------------------------------------------------------
 
 def test_rto_initial_default():
