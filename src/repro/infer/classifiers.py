@@ -27,14 +27,15 @@ Determinism contract:
 * every matrix product goes through ``np.einsum`` rather than BLAS
   ``dot`` — einsum's fixed-order reduction loops are reproducible
   across numpy builds, where a threaded BLAS dgemm need not be.  The
-  stacked subscripts ``lnf,lfc->lnc`` and ``lnf,lnc->lfc`` only add a
-  leading model axis ``l`` (sessions × levels): every output element
-  still accumulates its contracted index sequentially, in the order of
-  the one-model ``nf,fc->nc`` and ``nf,nc->fc``, and every other
-  reduction runs over the sample or class axis of one model.  So a
-  model's floats do not depend on what is stacked beside it, or on how
-  many.  The tests pin stacks of up to 40 models against the one-model
-  loop, and a shard against its sessions fit one at a time;
+  stacked logistic fit keeps the model axis ``l`` (sessions × levels)
+  innermost in both operands of its two products, so every output
+  element accumulates its contracted index sequentially, in the order
+  of the one-model ``nf,fc->nc`` and ``nf,nc->fc``, and every other
+  reduction runs over the sample or class axis of one model, laid out
+  as in the one-model loop.  So a model's floats do not depend on what
+  is stacked beside it, or on how many.  The tests pin stacks of up to
+  300 models against the one-model loop, and a shard against its
+  sessions fit one at a time;
 * ties break toward the smallest label everywhere.
 
 Registering a new classifier::
@@ -129,8 +130,13 @@ def _standardize_stats(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared euclidean distances, (len(a), len(b)).
 
-    Computed by explicit difference-and-sum (numpy pairwise reduction,
-    deterministic) instead of the usual ``|a|² + |b|² - 2ab`` BLAS trick.
+    Computed from the explicit differences instead of the usual
+    ``|a|² + |b|² - 2ab`` BLAS trick: each entry is one ``np.einsum``
+    inner product of a difference row with itself.  einsum contracts
+    that contiguous row with its own multi-accumulator kernel, so the
+    sum follows neither ``np.sum``'s pairwise order nor a left-to-right
+    loop; it is fixed for a given numpy and input shape, so the same
+    data gives the same distances on every run and worker.
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
@@ -291,10 +297,10 @@ class LogisticClassifier(Classifier):
     initial weights from its own seed, one one-hot matrix shared by all
     models, and one epoch loop of batched einsum products with the
     softmax reductions over the class axis.  :meth:`fit` is its
-    one-model case, so there is one gradient-descent loop.  All
-    reductions run through einsum/np.sum loops whose order does not
-    depend on L — same floats on every run and worker, alone or
-    stacked.
+    one-model case, so there is one gradient-descent loop.  The loop
+    runs in the array layouts its :meth:`fit_levels` docstring names,
+    chosen so every sum adds its terms in the order of the one-model
+    loop — same floats on every run and worker, alone or stacked.
     """
 
     name = "logistic"
@@ -316,6 +322,34 @@ class LogisticClassifier(Classifier):
 
     @classmethod
     def fit_levels(cls, models, stack, labels) -> None:
+        """Fit ``models[l]`` on ``stack[l]``, bit-identical to its ``fit``.
+
+        The epoch loop holds the standardized features as (F, N, L),
+        the weights as (C, F, L) and the softmax as a C-contiguous
+        (L, N, C) array; the logits are ``fnl,cfl->lnc`` and the weight
+        gradient is ``fnl,ncl->cfl`` over the error copied to
+        (N, C, L), written straight into the weights' layout.
+
+        The rule that keeps every model's floats equal to the one-model
+        loop: in both einsum products the model axis is innermost in
+        every operand and the contracted axis is contiguous in at most
+        one of them (in neither while L > 1), so einsum adds each output
+        element's terms in contracted-index order, as the one-model
+        ``nf,fc->nc`` and ``nf,nc->fc`` do.  With the contracted axis
+        contiguous in both operands (say ``lnf,lcf->lnc``), or with a
+        BLAS ``@``, the sums round differently.  The class and sample
+        sums reduce the C-contiguous (L, N, C) array, as the one-model
+        loop reduces its (N, C) one: numpy sums a contiguous run of 8
+        or more classes with 8 partial sums, so that layout is part of
+        the rule.  The oracle tests, which compare against the
+        one-model loop, are the proof.
+
+        The inner loop of both products runs over the models, so a
+        stack of fewer models than classes (one session's levels) runs
+        short inner loops and fits slower than a class-innermost layout
+        would; a shard's stacks are larger, and there this layout is
+        the faster one.
+        """
         # A float copy of the stack, standardized in place.
         scaled = np.array(stack, dtype=np.float64)
         if scaled.ndim != 3 or len(scaled) != len(models):
@@ -323,26 +357,39 @@ class LogisticClassifier(Classifier):
         mean, scale = _standardize_stats(scaled)
         scaled -= mean[:, None]
         scaled /= scale[:, None]
+        # (F, N, L): the model axis innermost in both einsum operands.
+        features = np.ascontiguousarray(scaled.transpose(2, 1, 0))
+        del scaled
         label_array = np.asarray(labels, dtype=np.int64)
         classes, label_index = np.unique(label_array, return_inverse=True)
         one_hot = np.eye(len(classes))[label_index]
 
+        # (C, F, L) for the whole loop, so the gradient lands in place.
         weights = np.stack([
-            model._initial_weights(scaled.shape[2], len(classes))
+            model._initial_weights(len(features), len(classes)).T
             for model in models
-        ])
+        ], axis=-1)
         bias = np.zeros((len(models), len(classes)))
         samples = float(len(label_array))
         for _ in range(cls.EPOCHS):
-            logits = np.einsum("lnf,lfc->lnc", scaled, weights) + bias[:, None]
-            logits -= logits.max(axis=2, keepdims=True)
-            exp = np.exp(logits)
-            probabilities = exp / exp.sum(axis=2, keepdims=True)
-            error = (probabilities - one_hot) / samples
-            gradient_w = np.einsum("lnf,lnc->lfc", scaled, error)
-            gradient_b = error.sum(axis=1)
-            weights -= cls.LEARNING_RATE * gradient_w
-            bias -= cls.LEARNING_RATE * gradient_b
+            # Logits, then probabilities, then the error, in place.
+            error = np.ascontiguousarray(
+                np.einsum("fnl,cfl->lnc", features, weights)
+            )
+            error += bias[:, None]
+            error -= error.max(axis=2, keepdims=True)
+            np.exp(error, out=error)
+            error /= error.sum(axis=2, keepdims=True)
+            error -= one_hot
+            error /= samples
+            gradient_w = np.einsum(
+                "fnl,ncl->cfl",
+                features, np.ascontiguousarray(error.transpose(1, 2, 0)),
+            )
+            gradient_w *= cls.LEARNING_RATE
+            weights -= gradient_w
+            bias -= cls.LEARNING_RATE * error.sum(axis=1)
+        weights = np.ascontiguousarray(weights.transpose(2, 1, 0))
         for level, model in enumerate(models):
             model._mean, model._scale = mean[level], scale[level]
             model._labels = classes

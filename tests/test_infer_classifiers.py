@@ -190,9 +190,27 @@ def level_stacks(draw):
     return stack, labels, seeds
 
 
+def fixed_stack(levels, samples, width, classes, seed):
+    """A reproducible (stack, labels, seeds) case of the given shape."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 5_000, size=(levels, samples, width))
+    labels = [int(c) * 3 - 2 for c in range(classes)]
+    labels += [labels[i % classes] for i in range(samples - classes)]
+    seeds = [seed + level for level in range(levels)]
+    return stack, labels, seeds
+
+
+# The examples sit where einsum's kernel choice or numpy's sum path can
+# shift: one model (a size-1 axis), one feature, and 8 or more classes,
+# from which numpy sums a contiguous row with 8 partial sums.
 @settings(max_examples=80, deadline=None)
 @given(level_stacks())
 @example((np.zeros((2, 3, 4), dtype=np.int64), [5, 1, 5], [0, -1]))
+@example(fixed_stack(1, 12, 32, 6, seed=1))
+@example(fixed_stack(1, 9, 1, 9, seed=2))
+@example(fixed_stack(6, 10, 1, 3, seed=3))
+@example(fixed_stack(5, 16, 32, 8, seed=4))
+@example(fixed_stack(3, 11, 5, 9, seed=5))
 def test_stacked_logistic_fit_matches_one_level_loop(case):
     stack, labels, seeds = case
     models = [LogisticClassifier(seed) for seed in seeds]
@@ -205,6 +223,17 @@ def test_stacked_logistic_fit_matches_one_level_loop(case):
         # The one-level fit is the same program.
         alone = LogisticClassifier(seed).fit(features, labels)
         assert alone.model_digest() == reference.model_digest()
+
+
+def test_large_stacked_logistic_fit_matches_one_level_loop():
+    # 300 models x 24 samples x 32 features is larger than numpy's
+    # 8192-element iterator buffer; a sample of models is checked.
+    stack, labels, seeds = fixed_stack(300, 24, 32, 8, seed=6)
+    models = [LogisticClassifier(seed) for seed in seeds]
+    LogisticClassifier.fit_levels(models, stack, labels)
+    for level in (0, 1, 57, 150, 298, 299):
+        reference = ReferenceLogistic(seeds[level]).fit(stack[level], labels)
+        assert models[level].model_digest() == reference.model_digest()
 
 
 @pytest.mark.parametrize("name", classifier_names())

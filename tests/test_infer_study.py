@@ -185,6 +185,22 @@ def test_campaign_is_shard_size_invariant():
     assert by_two.summary.to_json() == by_five.summary.to_json()
 
 
+@pytest.mark.parametrize("reps, max_objects, digest", [
+    (3, 8, "fc939085ba03c939eb13250ea0c99ba1532954f6da483af1e63a538c7979ef60"),
+    (2, 12, "bd2060affa0fd73cc0c1b3e07116a2e6a8d125ab0f95c2ab577ad7a79cd35529"),
+])
+def test_campaign_digest_pinned_at_eight_classes_and_more(
+    reps, max_objects, digest
+):
+    # The CLI default (max_objects=6) never trains on 8 classes, where
+    # numpy starts summing a class row with 8 partial sums; these
+    # frontiers do, so a change that moves a prediction there shows.
+    config = InferCampaignConfig(
+        sessions=12, shard_size=6, reps=reps, max_objects=max_objects
+    )
+    assert run_infer_campaign(config, workers=1).summary.digest() == digest
+
+
 def test_campaign_checkpoint_resume_is_bit_identical(tmp_path):
     fresh = run_infer_campaign(CAMPAIGN, workers=1)
     first = run_infer_campaign(
