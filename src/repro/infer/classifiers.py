@@ -10,12 +10,17 @@ attack it did not.
 
 An infer shard fits one model per (session, defense level), and every
 session with the same number of objects trains on the same labels, so
-the interface also has the classmethod ``fit_levels(models, stack,
-labels)``, which fits ``models[m]`` on ``stack[m]``.  Its default
-loops ``fit``.  The logistic model overrides it to train the whole
-stack as one array program over the (model, sample, feature) stack,
-where the model axis spans sessions × levels, and its ``fit`` is the
-one-model case of that program.
+the interface also has the classmethods ``fit_levels(models, stack,
+labels)``, which fits ``models[m]`` on ``stack[m]``, and
+``predict_levels(models, stack)``, which predicts ``stack[m]`` with
+``models[m]``.  Their defaults loop ``fit`` and ``predict``, so a
+registered classifier needs only those two.  The four built-in models
+override ``fit_levels`` to fit the whole stack as one array program
+over the (model, sample, feature) stack, where the model axis spans
+sessions × levels, and the exact, centroid and k-NN models override
+``predict_levels`` the same way.  A model's ``fit`` (and, where
+``predict_levels`` is stacked, its ``predict``) is the one-model case
+of that program.
 
 Determinism contract:
 
@@ -23,7 +28,7 @@ Determinism contract:
   same data with the same seed yields a bit-identical model (pinned by
   ``model_digest()``, a SHA-256 over the canonical parameter bytes),
   whether the model is fit alone or stacked with the other levels and
-  sessions of its shard;
+  sessions of its shard, and it predicts the same labels either way;
 * every matrix product goes through ``np.einsum`` rather than BLAS
   ``dot`` — einsum's fixed-order reduction loops are reproducible
   across numpy builds, where a threaded BLAS dgemm need not be.  The
@@ -32,10 +37,12 @@ Determinism contract:
   element accumulates its contracted index sequentially, in the order
   of the one-model ``nf,fc->nc`` and ``nf,nc->fc``, and every other
   reduction runs over the sample or class axis of one model, laid out
-  as in the one-model loop.  So a model's floats do not depend on what
-  is stacked beside it, or on how many.  The tests pin stacks of up to
-  300 models against the one-model loop, and a shard against its
-  sessions fit one at a time;
+  as in the one-model loop.  The distances of the centroid and k-NN
+  models contract the contiguous feature axis of one model's
+  difference rows, whatever is stacked beside it.  So a model's floats
+  do not depend on what is stacked beside it, or on how many.  The
+  tests pin stacks against the one-model code each stacked method
+  replaced, and a shard against its sessions fit one at a time;
 * ties break toward the smallest label everywhere.
 
 Registering a new classifier::
@@ -82,14 +89,40 @@ class Classifier:
         stack: Sequence[Sequence[Sequence[int]]],
         labels: Sequence[int],
     ) -> None:
-        """Fit ``models[l]`` on the feature matrix ``stack[l]``.
+        """Fit ``models[m]`` on the feature matrix ``stack[m]``.
 
         Every model trains on the same ``labels``.  The default fits
         each model in turn; a subclass may fit the whole stack at once,
         provided each model ends bit-identical to its own ``fit``.
+
+        Raises:
+            ValueError: ``models`` and ``stack`` differ in length.
         """
         for model, features in zip(models, stack, strict=True):
             model.fit(features, labels)
+
+    @classmethod
+    def predict_levels(
+        cls,
+        models: Sequence["Classifier"],
+        stack: Sequence[Sequence[Sequence[int]]],
+    ) -> List[List[int]]:
+        """Predict the feature matrix ``stack[m]`` with ``models[m]``.
+
+        Returns one prediction list per model.  The default predicts
+        with each model in turn; a subclass may predict the whole stack
+        at once, provided every list equals its model's own
+        ``predict``.  The stacked overrides take models whose
+        parameters share their shapes, as the models of one
+        :meth:`fit_levels` call do.
+
+        Raises:
+            ValueError: ``models`` and ``stack`` differ in length.
+        """
+        return [
+            model.predict(features)
+            for model, features in zip(models, stack, strict=True)
+        ]
 
     def model_digest(self) -> str:
         """SHA-256 over the canonical bytes of the fitted parameters."""
@@ -107,39 +140,61 @@ class Classifier:
         raise NotImplementedError
 
 
-def _as_matrix(features: Sequence[Sequence[int]]) -> np.ndarray:
-    matrix = np.asarray(features, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("features must be a 2-D batch of vectors")
-    return matrix
+def _model_stack(models: Sequence[Classifier], stack) -> np.ndarray:
+    """``stack`` as an array of one 2-D feature batch per model."""
+    array = np.asarray(stack)
+    if array.ndim != 3 or len(array) != len(models):
+        raise ValueError("stack must hold one 2-D feature batch per model")
+    return array
 
 
-def _standardize_stats(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and scale over the sample axis (``-2``).
+def _standardized(
+    models: Sequence[Classifier], stack
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A float copy of the stack, each model's batch standardized in place.
 
-    Takes one (N, F) matrix or an (L, N, F) stack of them; a column of
-    zero variance gets scale 1.
+    Returns the (L, N, F) copy and its (L, F) per-column mean and scale
+    over the sample axis; a column of zero variance gets scale 1.
     """
-    mean = matrix.mean(axis=-2)
-    centered = matrix - mean[..., None, :]
-    scale = np.sqrt((centered * centered).mean(axis=-2))
+    scaled = _model_stack(models, stack).astype(np.float64)
+    mean = scaled.mean(axis=1)
+    scaled -= mean[:, None]
+    scale = np.sqrt((scaled * scaled).mean(axis=1))
     scale[scale == 0.0] = 1.0
-    return mean, scale
+    scaled /= scale[:, None]
+    return scaled, mean, scale
+
+
+def _scaled_for(models: Sequence[Classifier], stack) -> np.ndarray:
+    """A float copy of ``stack[m]`` in ``models[m]``'s standardized space."""
+    scaled = _model_stack(models, stack).astype(np.float64)
+    scaled -= np.stack([model._mean for model in models])[:, None]
+    scaled /= np.stack([model._scale for model in models])[:, None]
+    return scaled
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, (len(a), len(b)).
+    """Squared euclidean distances, model by model: (M, V, P).
 
-    Computed from the explicit differences instead of the usual
-    ``|a|² + |b|² - 2ab`` BLAS trick: each entry is one ``np.einsum``
-    inner product of a difference row with itself.  einsum contracts
-    that contiguous row with its own multi-accumulator kernel, so the
-    sum follows neither ``np.sum``'s pairwise order nor a left-to-right
-    loop; it is fixed for a given numpy and input shape, so the same
-    data gives the same distances on every run and worker.
+    ``a`` is (M, V, F) and ``b`` is (M, P, F); entry ``[m, v, p]`` is
+    the distance from ``a[m, v]`` to ``b[m, p]``.  Computed from the
+    explicit differences instead of the usual ``|a|² + |b|² - 2ab``
+    BLAS trick: each entry is one ``np.einsum`` inner product of a
+    difference row with itself.  einsum contracts that contiguous row
+    with its own multi-accumulator kernel, so the sum follows neither
+    ``np.sum``'s pairwise order nor a left-to-right loop; it is fixed
+    for a given numpy and row length, however many models are stacked,
+    so the same data gives the same distances on every run and worker.
+
+    One row of ``a`` at a time, into one C-contiguous (M, P, F)
+    difference buffer: all V rows at once would be V times as large.
     """
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    distances = np.empty((a.shape[0], a.shape[1], b.shape[1]))
+    diff = np.empty(b.shape)
+    for row in range(a.shape[1]):
+        np.subtract(a[:, row, None], b, out=diff)
+        distances[:, row] = np.einsum("mpf,mpf->mp", diff, diff)
+    return distances
 
 
 class ExactMatchClassifier(Classifier):
@@ -153,6 +208,10 @@ class ExactMatchClassifier(Classifier):
     :data:`UNMATCHED` otherwise.  Multiplexing contamination pushes
     observed totals outside that band, which is exactly the weakness
     the statistical classifiers exploit.
+
+    Fit and predict run over a whole stack of models in integer
+    arithmetic (:meth:`fit_levels`, :meth:`predict_levels`); ``fit``
+    and ``predict`` are their one-model case.
     """
 
     name = "exact"
@@ -161,50 +220,69 @@ class ExactMatchClassifier(Classifier):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self._labels: List[int] = []
-        self._totals: List[int] = []
+        self._labels = np.zeros(0, dtype=np.int64)
+        self._totals = np.zeros(0, dtype=np.int64)
 
     def fit(self, features, labels) -> "ExactMatchClassifier":
-        per_label: Dict[int, List[int]] = {}
-        for vector, label in zip(features, labels):
-            per_label.setdefault(int(label), []).append(int(vector[1]))
-        self._labels = sorted(per_label)
-        self._totals = []
-        for label in self._labels:
-            totals = sorted(per_label[label])
-            # Lower median keeps the parameter an exact integer.
-            self._totals.append(totals[(len(totals) - 1) // 2])
+        self.fit_levels([self], [features], labels)
         return self
 
+    @classmethod
+    def fit_levels(cls, models, stack, labels) -> None:
+        """Fit ``models[m]`` on ``stack[m]``, all models at once.
+
+        A model's total for a label is the lower median of feature 1
+        over that label's rows, one sort along the sample axis per
+        label for the whole stack; labels sort ascending.
+        """
+        observed = _model_stack(models, stack)[..., 1].astype(np.int64)
+        label_array = np.asarray(labels, dtype=np.int64)
+        classes = np.unique(label_array)
+        totals = np.empty((len(models), len(classes)), dtype=np.int64)
+        for column, label in enumerate(classes):
+            rows = np.sort(observed[:, label_array == label], axis=1)
+            # Lower median keeps the parameter an exact integer.
+            totals[:, column] = rows[:, (rows.shape[1] - 1) // 2]
+        for level, model in enumerate(models):
+            model._labels, model._totals = classes, totals[level]
+
     def predict(self, features) -> List[int]:
-        predictions = []
-        for vector in features:
-            observed = int(vector[1])
-            best_label = UNMATCHED
-            best_error = None
-            for label, expected in zip(self._labels, self._totals):
-                error = abs(observed - expected)
-                tolerance = max(
-                    self.TOLERANCE_ABS,
-                    self.TOLERANCE_PERMILLE * expected // 1000,
-                )
-                if error > tolerance:
-                    continue
-                if best_error is None or error < best_error:
-                    best_error = error
-                    best_label = label
-            predictions.append(best_label)
-        return predictions
+        return self.predict_levels([self], [features])[0]
+
+    @classmethod
+    def predict_levels(cls, models, stack) -> List[List[int]]:
+        """Predict ``stack[m]`` with ``models[m]``, all models at once.
+
+        ``|observed − total|`` over (model, victim, label) in int64; a
+        label outside its tolerance window is masked, the first minimum
+        in ascending label order wins, and a victim with no label in
+        its window gets :data:`UNMATCHED`.
+        """
+        observed = _model_stack(models, stack)[..., 1].astype(np.int64)
+        totals = np.stack([model._totals for model in models])
+        tolerance = np.maximum(
+            cls.TOLERANCE_ABS, cls.TOLERANCE_PERMILLE * totals // 1000
+        )
+        error = np.abs(observed[:, :, None] - totals[:, None])
+        outside = error > tolerance[:, None]
+        # Errors inside a window are at most the tolerance, below this.
+        error[outside] = np.iinfo(np.int64).max
+        labels = np.stack([model._labels for model in models])
+        predictions = np.take_along_axis(labels, error.argmin(axis=2), axis=1)
+        predictions[outside.all(axis=2)] = UNMATCHED
+        return predictions.tolist()
 
     def _parameter_arrays(self) -> List[np.ndarray]:
-        return [
-            np.asarray(self._labels, dtype=np.int64),
-            np.asarray(self._totals, dtype=np.int64),
-        ]
+        return [self._labels, self._totals]
 
 
 class NearestCentroidClassifier(Classifier):
-    """Per-class mean in standardized feature space; nearest wins."""
+    """Per-class mean in standardized feature space; nearest wins.
+
+    Fit and predict run over a whole stack of models
+    (:meth:`fit_levels`, :meth:`predict_levels`); ``fit`` and
+    ``predict`` are their one-model case.
+    """
 
     name = "centroid"
 
@@ -216,23 +294,49 @@ class NearestCentroidClassifier(Classifier):
         self._centroids = np.zeros((0, 0))
 
     def fit(self, features, labels) -> "NearestCentroidClassifier":
-        matrix = _as_matrix(features)
-        label_array = np.asarray(labels, dtype=np.int64)
-        self._mean, self._scale = _standardize_stats(matrix)
-        scaled = (matrix - self._mean) / self._scale
-        self._labels = np.unique(label_array)
-        self._centroids = np.stack([
-            scaled[label_array == label].mean(axis=0)
-            for label in self._labels
-        ])
+        self.fit_levels([self], [features], labels)
         return self
 
+    @classmethod
+    def fit_levels(cls, models, stack, labels) -> None:
+        """Fit ``models[m]`` on ``stack[m]``, bit-identical to its ``fit``.
+
+        The stack is standardized in one float copy, and each label's
+        centroids are means along the sample axis of that label's rows,
+        gathered into a C-contiguous (L, rows, F) array, so numpy sums
+        each model's rows as it sums one model's own (rows, F) matrix.
+        """
+        scaled, mean, scale = _standardized(models, stack)
+        label_array = np.asarray(labels, dtype=np.int64)
+        classes = np.unique(label_array)
+        # ``scaled[:, mask]`` would lay the rows out model-innermost,
+        # and a one-feature mean over 9 or more rows then rounds
+        # differently.
+        centroids = np.stack([
+            np.compress(label_array == label, scaled, axis=1).mean(axis=1)
+            for label in classes
+        ], axis=1)
+        for level, model in enumerate(models):
+            model._labels = classes
+            model._mean, model._scale = mean[level], scale[level]
+            model._centroids = centroids[level]
+
     def predict(self, features) -> List[int]:
-        scaled = (_as_matrix(features) - self._mean) / self._scale
-        distances = _squared_distances(scaled, self._centroids)
+        return self.predict_levels([self], [features])[0]
+
+    @classmethod
+    def predict_levels(cls, models, stack) -> List[List[int]]:
+        """Predict ``stack[m]`` with ``models[m]``, all models at once."""
+        distances = _squared_distances(
+            _scaled_for(models, stack),
+            np.stack([model._centroids for model in models]),
+        )
+        labels = np.stack([model._labels for model in models])
         # argmin returns the first minimum; labels are sorted, so ties
         # break toward the smallest label.
-        return [int(self._labels[i]) for i in distances.argmin(axis=1)]
+        return np.take_along_axis(
+            labels, distances.argmin(axis=2), axis=1
+        ).tolist()
 
     def _parameter_arrays(self) -> List[np.ndarray]:
         return [self._labels, self._mean, self._scale, self._centroids]
@@ -242,7 +346,10 @@ class KNNClassifier(Classifier):
     """k-nearest neighbours with fully deterministic tie-breaking.
 
     Neighbours order by ``(distance, training index)``; the vote winner
-    is the label with the highest count, smallest label first.
+    is the label with the highest count, smallest label first.  Fit and
+    predict run over a whole stack of models (:meth:`fit_levels`,
+    :meth:`predict_levels`); ``fit`` and ``predict`` are their
+    one-model case.
     """
 
     name = "knn"
@@ -256,28 +363,45 @@ class KNNClassifier(Classifier):
         self._labels = np.zeros(0, dtype=np.int64)
 
     def fit(self, features, labels) -> "KNNClassifier":
-        matrix = _as_matrix(features)
-        self._mean, self._scale = _standardize_stats(matrix)
-        self._train = (matrix - self._mean) / self._scale
-        self._labels = np.asarray(labels, dtype=np.int64)
+        self.fit_levels([self], [features], labels)
         return self
 
+    @classmethod
+    def fit_levels(cls, models, stack, labels) -> None:
+        """Standardize ``stack[m]`` as ``models[m]``'s training rows."""
+        scaled, mean, scale = _standardized(models, stack)
+        label_array = np.asarray(labels, dtype=np.int64)
+        for level, model in enumerate(models):
+            model._mean, model._scale = mean[level], scale[level]
+            model._train, model._labels = scaled[level], label_array
+
     def predict(self, features) -> List[int]:
-        scaled = (_as_matrix(features) - self._mean) / self._scale
-        distances = _squared_distances(scaled, self._train)
-        k = min(self.K, len(self._labels))
-        order_index = np.arange(len(self._labels))
-        predictions = []
-        for row in distances:
-            order = np.lexsort((order_index, row))
-            votes: Dict[int, int] = {}
-            for neighbour in order[:k]:
-                label = int(self._labels[neighbour])
-                votes[label] = votes.get(label, 0) + 1
-            predictions.append(
-                min(votes, key=lambda label: (-votes[label], label))
-            )
-        return predictions
+        return self.predict_levels([self], [features])[0]
+
+    @classmethod
+    def predict_levels(cls, models, stack) -> List[List[int]]:
+        """Predict ``stack[m]`` with ``models[m]``, all models at once.
+
+        A stable sort of each victim's distances keeps equal distances
+        in training-index order.  The vote counts, for each of the k
+        neighbours, the neighbours that share its label; the winner is
+        the smallest label among those with the most votes, for any
+        label values.
+        """
+        distances = _squared_distances(
+            _scaled_for(models, stack),
+            np.stack([model._train for model in models]),
+        )
+        labels = np.stack([model._labels for model in models])
+        k = min(cls.K, labels.shape[1])
+        nearest = np.argsort(distances, axis=2, kind="stable")[..., :k]
+        votes = np.take_along_axis(labels[:, None], nearest, axis=2)
+        counts = (votes[..., :, None] == votes[..., None, :]).sum(axis=3)
+        leaders = np.where(
+            counts == counts.max(axis=2, keepdims=True),
+            votes, np.iinfo(np.int64).max,
+        )
+        return leaders.min(axis=2).tolist()
 
     def _parameter_arrays(self) -> List[np.ndarray]:
         return [self._mean, self._scale, self._train, self._labels]
@@ -317,7 +441,7 @@ class LogisticClassifier(Classifier):
         self._bias = np.zeros(0)
 
     def fit(self, features, labels) -> "LogisticClassifier":
-        self.fit_levels([self], _as_matrix(features)[None], labels)
+        self.fit_levels([self], [features], labels)
         return self
 
     @classmethod
@@ -350,13 +474,7 @@ class LogisticClassifier(Classifier):
         would; a shard's stacks are larger, and there this layout is
         the faster one.
         """
-        # A float copy of the stack, standardized in place.
-        scaled = np.array(stack, dtype=np.float64)
-        if scaled.ndim != 3 or len(scaled) != len(models):
-            raise ValueError("stack must hold one 2-D feature batch per model")
-        mean, scale = _standardize_stats(scaled)
-        scaled -= mean[:, None]
-        scaled /= scale[:, None]
+        scaled, mean, scale = _standardized(models, stack)
         # (F, N, L): the model axis innermost in both einsum operands.
         features = np.ascontiguousarray(scaled.transpose(2, 1, 0))
         del scaled
@@ -407,7 +525,8 @@ class LogisticClassifier(Classifier):
         return weights.reshape(n_features, classes)
 
     def predict(self, features) -> List[int]:
-        scaled = (_as_matrix(features) - self._mean) / self._scale
+        matrix = np.asarray(features, dtype=np.float64)
+        scaled = (matrix - self._mean) / self._scale
         logits = np.einsum("nf,fc->nc", scaled, self._weights) + self._bias
         # argmax takes the first maximum; labels are sorted.
         return [int(self._labels[i]) for i in logits.argmax(axis=1)]

@@ -30,8 +30,9 @@ An infer shard is one array program (:func:`evaluate_sessions`).  Each
 session joins its levels' batches for one call to the numpy feature
 kernel.  Sessions whose pages keep the same number of objects share
 their labels, and each classifier fits all of their (session × level)
-models in one stacked call.  A group's features stay in memory until
-its fits end, about 23 KB per session at the ``repro infer`` defaults.
+models in one stacked call and predicts their victims in another.  A
+group's features stay in memory until its predictions end, about 23 KB
+per session at the ``repro infer`` defaults.
 :func:`evaluate_session` is the one-session case.
 
 The attacker trains on its own seeded fetches (role ``train``) and
@@ -158,11 +159,16 @@ def base_plaintext_records(body_bytes: int, chunk_bytes: int) -> Tuple[int, ...]
 def defended_wire_records(
     plaintext_records: Sequence[int], level: DefenseConfig
 ) -> Tuple[int, ...]:
-    """Observed wire lengths of one response under a defense level."""
-    return tuple(
-        level.pad(plaintext) + RECORD_OVERHEAD
-        for plaintext in plaintext_records
-    )
+    """Observed wire lengths of one response under a defense level.
+
+    Each distinct plaintext length is padded once: a response holds at
+    most three (HEADERS, a full DATA chunk and the tail).
+    """
+    wire = {
+        plaintext: level.pad(plaintext) + RECORD_OVERHEAD
+        for plaintext in set(plaintext_records)
+    }
+    return tuple(map(wire.__getitem__, plaintext_records))
 
 
 def observation_stream(
@@ -371,14 +377,16 @@ def evaluate_sessions(
     turn, with one heartbeat per session, into the group's
     (session·level, sample, feature) stack.  Then each classifier fits
     all of the group's (session × level) models in one
-    :meth:`~repro.infer.classifiers.Classifier.fit_levels` call, and
-    predictions stay per model.  A model does not depend on what is
-    stacked beside it, so result ``i`` equals
-    ``evaluate_session(sessions[i], design)``.
+    :meth:`~repro.infer.classifiers.Classifier.fit_levels` call,
+    predicts every model's victims in one
+    :meth:`~repro.infer.classifiers.Classifier.predict_levels` call,
+    and one array comparison counts each model's correct predictions.
+    A model and its predictions do not depend on what is stacked beside
+    it, so result ``i`` equals ``evaluate_session(sessions[i], design)``.
 
-    Memory: a group's features stay in memory until its fits end —
-    ``levels × objects × (reps + 1)`` int64 vectors per session, about
-    23 KB at the ``repro infer`` defaults.
+    Memory: a group's features stay in memory until its predictions
+    end — ``levels × objects × (reps + 1)`` int64 vectors per session,
+    about 23 KB at the ``repro infer`` defaults.
 
     Returns one plain-JSON dict per session, in input order.
     """
@@ -393,8 +401,8 @@ def evaluate_sessions(
         groups.setdefault(len(sizes), []).append(position)
     results: List[Dict[str, object]] = [{} for _ in sessions]
     for count, positions in groups.items():
-        labels = list(range(count))
-        train_labels = [obj for obj in labels for _ in range(design.reps)]
+        labels = np.arange(count)
+        train_labels = np.repeat(labels, design.reps)
         stack = np.empty((
             len(positions), len(levels), len(train_labels) + count,
             feature_length(design.features),
@@ -422,12 +430,11 @@ def evaluate_sessions(
                 for session in members
                 for level in levels
             ]
-            type(models[0]).fit_levels(models, train_stack, train_labels)
-            for model, victims, level_correct in zip(models, victim_stack, correct):
-                predictions = model.predict(victims)
-                level_correct[classifier_name] = sum(
-                    1 for predicted, truth in zip(predictions, labels)
-                    if predicted == truth
-                )
+            kind = type(models[0])
+            kind.fit_levels(models, train_stack, train_labels)
+            predictions = kind.predict_levels(models, victim_stack)
+            hits = np.count_nonzero(np.asarray(predictions) == labels, axis=1)
+            for level_correct, hit in zip(correct, hits.tolist()):
+                level_correct[classifier_name] = hit
         heartbeat()
     return results

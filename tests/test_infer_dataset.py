@@ -148,6 +148,18 @@ def test_batched_observe_matches_scalar_loop(page, knobs, level, role, session):
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    records=st.lists(st.integers(0, 40) | st.integers(0, 16_384), max_size=40),
+    level=st.sampled_from(DEFENSE_LEVELS),
+)
+def test_defended_wire_records_pads_every_record(records, level):
+    # Each distinct length is padded once; repeats must read the same.
+    assert defended_wire_records(tuple(records), level) == tuple(
+        level.pad(plaintext) + RECORD_OVERHEAD for plaintext in records
+    )
+
+
 @pytest.mark.parametrize(
     "knob", ["gap_base_us", "gap_jitter_us", "pause_us", "mux_max_inserts"]
 )

@@ -1,8 +1,19 @@
 """Unit tests for random streams, the trace log and units."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.simkernel.randomstream import RandomStreams
+from repro.simkernel.randomstream import (
+    SPLITMIX_GAMMA,
+    CounterStream,
+    RandomStreams,
+    draw64,
+    mix64,
+    randint,
+    uniform,
+)
 from repro.simkernel.trace import TraceLog
 from repro.simkernel.units import (
     MBPS,
@@ -71,6 +82,58 @@ def test_choice_picks_member():
 
 
 # -- TraceLog ----------------------------------------------------------------
+
+# -- CounterStream array kernels --------------------------------------------
+
+#: Seeds at the top of the 64-bit range, where ``seed + i * gamma``
+#: wraps at once.
+WRAP_SEEDS = [2**64 - 1, 2**64 - 2, 2**64 - SPLITMIX_GAMMA, SPLITMIX_GAMMA - 1]
+
+
+def scalar_draw(seed, index):
+    """A fresh stream advanced to draw ``index`` (1-indexed)."""
+    stream = CounterStream(seed)
+    stream.advance(index - 1)
+    return stream
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.lists(
+        st.integers(0, 2**64 - 1) | st.sampled_from(WRAP_SEEDS),
+        min_size=1, max_size=6,
+    ),
+    draws=st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=5),
+    low=st.integers(-(2**40), 2**40),
+    span=st.integers(1, 2**62),
+)
+@example(seeds=WRAP_SEEDS, draws=[1, 2, 2**63 - 1], low=0, span=1)
+def test_array_draws_equal_scalar_counter_stream(seeds, draws, low, span):
+    # The caller's arrays stay untouched, whether the indices carry the
+    # broadcast shape or not.
+    seed_column = np.array(seeds, dtype=np.uint64)[:, None]
+    index_row = np.array(draws, dtype=np.int64)[None, :]
+    index_grid = np.repeat(index_row, len(seeds), axis=0)
+    inputs = [seed_column, index_row, index_grid]
+    before = [array.copy() for array in inputs]
+    high = low + span - 1
+    for indices in (index_row, index_grid):
+        raw = draw64(seed_column, indices)
+        units = uniform(seed_column, indices)
+        ints = randint(seed_column, indices, low, high)
+        for row, seed in enumerate(seeds):
+            for column, index in enumerate(draws):
+                expected = mix64((seed + index * SPLITMIX_GAMMA) % 2**64)
+                assert int(raw[row, column]) == expected
+                assert units[row, column] == scalar_draw(seed, index).random()
+                assert ints[row, column] == scalar_draw(seed, index).randint(low, high)
+    for index in draws[:2]:
+        assert draw64(seed_column[:, 0], index).tolist() == [
+            mix64((seed + index * SPLITMIX_GAMMA) % 2**64) for seed in seeds
+        ]
+    for array, copy in zip(inputs, before):
+        assert np.array_equal(array, copy)
+
 
 def test_trace_record_and_select():
     log = TraceLog()
