@@ -7,12 +7,8 @@ The JSON embeds
 
 * wall time and sessions/sec for each worker count (1, 2, and 4 on
   hosts with at least 4 cores), all over the *same* campaign config,
-* a ``backends`` section comparing the scalar ``python`` backend with
-  the vectorized ``fast`` backend serially — digest-identical by
-  construction (asserted), with ``speedup_fast_vs_python`` gated at
-  >= 10x,
-* the digest of every run — bit-identical across worker counts and
-  backends by construction, and asserted here,
+* the digest of every run — bit-identical across worker counts by
+  construction, and asserted here,
 * peak memory: the process RSS high-water mark (children included) and
   the tracemalloc Python-heap peak of a 2k- vs. a 32k-session serial
   campaign — the pair that demonstrates peak heap is bounded and
@@ -48,11 +44,6 @@ DEFAULT_SESSIONS = 100_000
 QUICK_SESSIONS = 20_000
 SHARD_SIZE = 2_000
 
-#: Relative throughput the vectorized backend must reach over the
-#: scalar one.  Both passes run serially under identical conditions,
-#: so the ratio is robust to host speed (measured ~25-30x).
-FAST_SPEEDUP_FLOOR = 10.0
-
 #: Parallel-scaling floors, per worker count.  Only enforced when the
 #: host actually has at least that many cores — oversubscribed workers
 #: cannot scale and their numbers are recorded but never flagged.
@@ -72,11 +63,9 @@ def worker_counts() -> list:
     return counts
 
 
-def time_campaign(
-    config: CampaignConfig, workers: int, backend: str = "python"
-) -> dict:
+def time_campaign(config: CampaignConfig, workers: int) -> dict:
     start = time.perf_counter()
-    result = run_campaign(config, workers=workers, backend=backend)
+    result = run_campaign(config, workers=workers)
     wall = time.perf_counter() - start
     return {
         "wall_s": round(wall, 3),
@@ -138,21 +127,6 @@ def run_bench(sessions: int) -> dict:
             if workers != "1"
         }
     )
-    backends = {
-        "python": {
-            "wall_s": throughput["1"]["wall_s"],
-            "sessions_per_sec": serial,
-            "digest": throughput["1"]["digest"],
-        },
-        "fast": time_campaign(config, workers=1, backend="fast"),
-    }
-    backends["fast"].pop("shards", None)
-    backends["speedup_fast_vs_python"] = round(
-        backends["fast"]["sessions_per_sec"] / serial, 1
-    )
-    backends["digest_identical"] = (
-        backends["fast"]["digest"] == backends["python"]["digest"]
-    )
     return {
         "bench": "campaign",
         "campaign": {
@@ -166,7 +140,6 @@ def run_bench(sessions: int) -> dict:
         "digest": throughput["1"]["digest"],
         "throughput": throughput,
         "scaling": scaling,
-        "backends": backends,
         "memory": measure_memory(seed=11),
         "host": {
             "python": platform.python_version(),
@@ -186,12 +159,6 @@ def render_summary(payload: dict) -> str:
             f"  workers={workers}  {entry['wall_s']:7.2f} s"
             f"  {entry['sessions_per_sec']:>10,.0f} sessions/s"
         )
-    backends = payload["backends"]
-    lines.append(
-        f"  fast backend {backends['fast']['sessions_per_sec']:>10,.0f}"
-        f" sessions/s  ({backends['speedup_fast_vs_python']:.1f}x python,"
-        f" digests {'match' if backends['digest_identical'] else 'DIFFER'})"
-    )
     memory = payload["memory"]
     lines.append(
         f"  peak RSS {memory['peak_rss_kb']:,} KB; heap peak "
@@ -217,17 +184,6 @@ def check(payload: dict) -> list:
     failures = []
     if not payload["digest_identical_across_workers"]:
         failures.append("digests differ across worker counts")
-    backends = payload["backends"]
-    if not backends["digest_identical"]:
-        failures.append(
-            "fast-backend digest differs from the python backend"
-        )
-    speedup = backends["speedup_fast_vs_python"]
-    if speedup < FAST_SPEEDUP_FLOOR:
-        failures.append(
-            f"fast backend only {speedup:.1f}x over python (floor "
-            f"{FAST_SPEEDUP_FLOOR:.0f}x)"
-        )
     cpus = payload["scaling"]["cpus"]
     for workers, floor in SCALING_FLOOR.items():
         observed = payload["scaling"].get(f"speedup_x{workers}")
@@ -256,11 +212,9 @@ def test_bench_campaign():
 
     assert check(payload) == []
     assert payload["throughput"]["1"]["sessions_per_sec"] > 0
-    assert payload["backends"]["digest_identical"]
     assert payload["scaling"]["cpus"] >= 1
     parsed = json.loads(path.read_text())
     assert parsed["digest"] == payload["digest"]
-    assert parsed["backends"]["speedup_fast_vs_python"] >= FAST_SPEEDUP_FLOOR
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,7 @@ Times the two canonical single-trial slices
 (:mod:`repro.experiments.hotpath`) and writes a machine-readable
 ``BENCH_hotpath.json`` next to the repository root.  The JSON embeds
 
-* min/mean wall time per slice over a few repetitions (the packet-level
-  slices run the same code under either backend, so one pass suffices),
+* min/mean wall time per slice over a few repetitions,
 * the profiler snapshot of one profiled pass (event/packet/frame
   counters, phase timers, HPACK cache hit rates),
 * peak memory (process RSS high-water mark plus the tracemalloc
@@ -57,9 +56,7 @@ REFERENCE = {
 
 #: Acceptance target: single-trial time vs. the reference, as a
 #: regression gate (>= 0.9x of the rebased baseline).  Per-event cost is
-#: dominated by protocol logic (TCP/H2 processing), not dispatch; the
-#: fast backend's wins live in the analytic campaign kernel — see
-#: BENCH_campaign.json.
+#: dominated by protocol logic (TCP/H2 processing), not dispatch.
 TARGET_SPEEDUP = 0.9
 
 DEFAULT_REPS = 5

@@ -132,77 +132,6 @@ class ColumnarSummary:
             column = hists[name]
             column[_log2_bucket(value, len(column))] += 1
 
-    def fold_batch(
-        self,
-        *,
-        objects,
-        page_bytes,
-        target_bytes,
-        serialized,
-        identified,
-        confusers,
-        match_error,
-        broken=None,
-        duration_us=None,
-    ) -> None:
-        """Fold a whole batch of sessions given as integer numpy arrays.
-
-        The vectorized campaign backend's sink: produces *exactly* the
-        state ``fold_session`` would after folding the same sessions one
-        at a time (integer sums, minima/maxima and bincount histograms
-        are order-free), which is what keeps fast-backend campaign
-        digests byte-identical to the scalar path.
-
-        ``match_error`` must already be masked to identified sessions
-        (zero elsewhere), mirroring the scalar fold's
-        ``match_error if identified else 0``.
-        """
-        import numpy as np
-
-        sessions = int(objects.shape[0])
-        if sessions == 0:
-            return
-        counts = self.counts
-        counts["sessions"] += sessions
-        counts["serialized"] += int(np.count_nonzero(serialized))
-        counts["identified"] += int(np.count_nonzero(identified))
-        counts["succeeded"] += int(np.count_nonzero(serialized & identified))
-        counts["ambiguous"] += int(np.count_nonzero(confusers > 0))
-        if broken is not None:
-            counts["broken"] += int(np.count_nonzero(broken))
-        sums = self.sums
-        sums["objects"] += int(objects.sum())
-        sums["page_bytes"] += int(page_bytes.sum())
-        sums["target_bytes"] += int(target_bytes.sum())
-        sums["confusers"] += int(confusers.sum())
-        sums["match_error"] += int(match_error.sum())
-        if duration_us is not None:
-            sums["duration_us"] += int(duration_us.sum())
-        for name, column in (
-            ("objects", objects), ("page_bytes", page_bytes)
-        ):
-            low = int(column.min())
-            high = int(column.max())
-            if name not in self.mins or low < self.mins[name]:
-                self.mins[name] = low
-            if name not in self.maxs or high > self.maxs[name]:
-                self.maxs[name] = high
-        for name, column in (
-            ("objects_log2", objects),
-            ("page_bytes_log2", page_bytes),
-            ("confusers_log2", confusers),
-        ):
-            hist = self.hists[name]
-            buckets = len(hist)
-            # frexp's exponent equals bit_length() for exact positive
-            # ints below 2^53, matching the scalar _log2_bucket.
-            _, exponent = np.frexp(column.astype(np.float64))
-            bucket = np.minimum(exponent, buckets - 1)
-            bucket[column <= 0] = 0
-            folded = np.bincount(bucket, minlength=buckets)
-            for index in np.nonzero(folded)[0]:
-                hist[index] += int(folded[index])
-
     def merge(self, other: "ColumnarSummary") -> "ColumnarSummary":
         """Fold another summary into this one (associative, exact)."""
         for name, value in other.counts.items():

@@ -30,7 +30,7 @@ resume and quarantine accounting, partial coverage,
 contributes only its shard fold, its summary type and the bodies of its
 report.
 
-Two session engines:
+Two session engines, one per mode:
 
 * ``analytic`` (default) — evaluates the §V size-identification attack
   directly on the page spec with the shared framing model
@@ -69,7 +69,6 @@ from repro.experiments.executor import (
     heartbeat,
 )
 from repro.experiments.report import format_table
-from repro.fastpath import resolve_backend
 from repro.web.workload import PageSpec, PopulationConfig, PopulationWorkload
 
 #: Session engines accepted by :class:`CampaignConfig`.
@@ -144,8 +143,8 @@ class ShardedConfig:
     * ``checkpoint_prefix`` — the checkpoint file-name prefix;
     * ``summary_type`` — the shard summary class, with ``from_json``,
       an in-place ``merge`` and ``digest``;
-    * ``shard_task(backend)`` — a picklable task mapping a shard index
-      to its summary's JSON;
+    * ``shard_task()`` — a picklable task mapping a shard index to its
+      summary's JSON;
     * ``result_json(result)`` / ``render_result(result)`` — the bodies
       of :meth:`CampaignResult.to_json` and :meth:`CampaignResult.render`;
     * ``empty_summary()`` when ``summary_type()`` cannot build the
@@ -231,8 +230,8 @@ class CampaignConfig(ShardedConfig):
                 f"for transport {self.transport!r}"
             )
 
-    def shard_task(self, backend: str) -> "ShardTask":
-        return ShardTask(self, backend=backend)
+    def shard_task(self) -> "ShardTask":
+        return ShardTask(self)
 
     def result_json(self, result: "CampaignResult") -> Dict[str, Any]:
         summary = result.summary
@@ -429,17 +428,13 @@ class ShardTask:
 
     The returned value is the summary's plain-integer JSON dict, which
     the executor's checkpoint persists verbatim — so a resumed campaign
-    reads back exactly the bytes a completed shard produced.
-
-    ``backend`` selects the execution strategy, never the result: the
-    ``fast`` analytic path runs the shard through the numpy batch
-    kernel (:func:`repro.fastpath.analytic.evaluate_shard_analytic`),
-    which folds to a bit-identical summary.  ``full`` mode runs the
-    packet-level engine, which is the same code on both backends.
+    reads back exactly the bytes a completed shard produced.  Each
+    session runs through :func:`evaluate_page_analytic` or
+    :func:`evaluate_page_full`, per the config's mode, and folds at
+    once.
     """
 
     config: CampaignConfig
-    backend: str = "python"
 
     def __call__(self, shard: int) -> Dict[str, Any]:
         config = self.config
@@ -448,13 +443,6 @@ class ShardTask:
         )
         span = config.shard_range(shard)
         heartbeat()  # shard started (no-op outside supervised workers)
-        if config.mode == "analytic" and self.backend == "fast":
-            from repro.fastpath.analytic import evaluate_shard_analytic
-
-            summary = evaluate_shard_analytic(
-                workload, span.start, span.stop, config.model
-            )
-            return summary.to_json()
         summary = ColumnarSummary()
         full = config.mode == "full"
         for session in span:
@@ -520,10 +508,6 @@ class CampaignResult:
     shards: int
     workers: int
     resumed_shards: int = 0
-    #: Execution strategy the run used.  Deliberately *excluded* from
-    #: to_json()/render(): backends are bit-identical, so reports and
-    #: checkpoints must not differ by backend.
-    backend: str = "python"
     #: Shards that did not complete (empty on a full-coverage run).
     errors: List[TrialError] = field(default_factory=list)
     #: Checkpoint files quarantined on resume (``.corrupt`` sidecars).
@@ -666,11 +650,12 @@ def run_campaign(
             and its shards recomputed cleanly.
         retries: same-seed retries per failed shard (supervised runs
             only).
-        backend: execution strategy (argument → ``REPRO_BACKEND`` →
-            ``python``), passed to ``config.shard_task``.  ``fast`` runs
-            analytic campaign shards through the numpy batch kernel;
-            results are bit-identical either way, so checkpoints are
-            shareable across backends.
+        backend: accepted and ignored: each mode has one engine.  The
+            keyword stays only because the benchmark suite's
+            campaign-ckpt reference check
+            (``benchmarks/suite/workloads.py``) still passes
+            ``backend="fast"``; ROADMAP item 6 removes the keyword
+            together with that call.
         allow_partial: instead of raising :class:`CampaignError` when
             shards exhaust their retries, return a partial
             :class:`CampaignResult` with explicit coverage accounting.
@@ -685,7 +670,7 @@ def run_campaign(
             every outcome — complete, partial or failed — with
             per-shard attempt history and quarantine records.
         shard_task: chaos-injection hook — replaces
-            ``config.shard_task(backend)``; must compute bit-identical
+            ``config.shard_task()``; must compute bit-identical
             summaries (the chaos harness wraps the real task with fault
             triggers).
 
@@ -700,12 +685,8 @@ def run_campaign(
     from repro.campaign import supervisor
 
     started = time.perf_counter()
-    resolved_backend = resolve_backend(backend)
     executor = TrialExecutor(workers=workers)
-    task = (
-        shard_task if shard_task is not None
-        else config.shard_task(resolved_backend)
-    )
+    task = shard_task if shard_task is not None else config.shard_task()
     fault_tolerance = None
     if (
         checkpoint_dir or allow_partial or deadline is not None
@@ -786,7 +767,6 @@ def run_campaign(
         shards=config.shard_count,
         workers=executor.workers,
         resumed_shards=resumed,
-        backend=resolved_backend,
         errors=errors,
         quarantined=quarantined,
         manifest_path=manifest_path,

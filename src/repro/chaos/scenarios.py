@@ -52,7 +52,6 @@ from repro.chaos.inject import (
     truncate_bytes,
 )
 from repro.experiments.report import format_table
-from repro.fastpath import resolve_backend
 
 #: Recognised scenario outcome modes.
 MODES = ("recovered", "partial")
@@ -79,14 +78,13 @@ class ChaosShardTask:
     """
 
     config: CampaignConfig
-    backend: str
     fault: str
     victims: Tuple[int, ...]
     marker_dir: str
     stall_seconds: float = 30.0
 
     def __call__(self, shard: int) -> Dict[str, Any]:
-        real = ShardTask(self.config, backend=self.backend)
+        real = ShardTask(self.config)
         if shard not in self.victims:
             return real(shard)
         marker = os.path.join(self.marker_dir, f"fault-{shard}")
@@ -136,9 +134,9 @@ def _pick_victims(config: CampaignConfig, count: int, salt: str) -> Tuple[int, .
     return tuple(sorted(victims))
 
 
-def _reference_digest(config: CampaignConfig, backend: str) -> str:
+def _reference_digest(config: CampaignConfig) -> str:
     """Digest of the undisturbed run — the recovery target."""
-    return run_campaign(config, workers=1, backend=backend).digest()
+    return run_campaign(config, workers=1).digest()
 
 
 def _load_manifest(path: str) -> Dict[str, Any]:
@@ -154,22 +152,20 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies.  Each takes (workdir, backend) and returns a detail
+# Scenario bodies.  Each takes a workdir and returns a detail
 # string on success; assertion failures / exceptions fail the scenario.
 # ---------------------------------------------------------------------------
 
 
-def _scenario_worker_kill(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_worker_kill(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=1600, shard_size=200, seed=11)
-    reference = _reference_digest(config, backend)
+    reference = _reference_digest(config)
     victims = _pick_victims(config, 2, "worker-kill")
     task = ChaosShardTask(
-        config=config, backend=backend, fault="kill",
-        victims=victims, marker_dir=workdir,
+        config=config, fault="kill", victims=victims, marker_dir=workdir,
     )
     result = run_campaign(
-        config, workers=2, checkpoint_dir=workdir, retries=2,
-        backend=backend, shard_task=task,
+        config, workers=2, checkpoint_dir=workdir, retries=2, shard_task=task,
     )
     for shard in victims:
         _require(
@@ -187,17 +183,15 @@ def _scenario_worker_kill(workdir: str, backend: str) -> Tuple[str, str]:
     )
 
 
-def _scenario_checkpoint_corrupt(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_checkpoint_corrupt(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=1200, shard_size=200, seed=13)
-    reference = _reference_digest(config, backend)
-    first = run_campaign(
-        config, workers=1, checkpoint_dir=workdir, backend=backend
-    )
+    reference = _reference_digest(config)
+    first = run_campaign(config, workers=1, checkpoint_dir=workdir)
     _require(first.digest() == reference, "baseline checkpointed run drifted")
     path = checkpoint_path(config, workdir)
     offset = corrupt_byte(path, seed=config.seed)
     result = run_campaign(
-        config, workers=1, checkpoint_dir=workdir, backend=backend,
+        config, workers=1, checkpoint_dir=workdir,
         failure_manifest=os.path.join(workdir, "manifest.json"),
     )
     sidecar = path + ".corrupt"
@@ -219,15 +213,13 @@ def _scenario_checkpoint_corrupt(workdir: str, backend: str) -> Tuple[str, str]:
     )
 
 
-def _scenario_checkpoint_truncate(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_checkpoint_truncate(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=1200, shard_size=200, seed=17)
-    reference = _reference_digest(config, backend)
-    run_campaign(config, workers=1, checkpoint_dir=workdir, backend=backend)
+    reference = _reference_digest(config)
+    run_campaign(config, workers=1, checkpoint_dir=workdir)
     path = checkpoint_path(config, workdir)
     kept = truncate_bytes(path, fraction=0.6)
-    result = run_campaign(
-        config, workers=1, checkpoint_dir=workdir, backend=backend
-    )
+    result = run_campaign(config, workers=1, checkpoint_dir=workdir)
     sidecar = path + ".corrupt"
     _require(os.path.exists(sidecar), "torn checkpoint not quarantined")
     _require(result.quarantined == [sidecar], "quarantine not reported")
@@ -241,13 +233,13 @@ def _scenario_checkpoint_truncate(workdir: str, backend: str) -> Tuple[str, str]
     )
 
 
-def _scenario_checkpoint_enospc(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_checkpoint_enospc(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=1200, shard_size=200, seed=19)
-    reference = _reference_digest(config, backend)
+    reference = _reference_digest(config)
     manifest_path = os.path.join(workdir, "manifest.json")
     with failing_checkpoint_writes(failures=3) as faults:
         result = run_campaign(
-            config, workers=1, checkpoint_dir=workdir, backend=backend,
+            config, workers=1, checkpoint_dir=workdir,
             failure_manifest=manifest_path,
         )
     _require(faults["raised"] >= 1, "ENOSPC fault never fired")
@@ -268,18 +260,18 @@ def _scenario_checkpoint_enospc(workdir: str, backend: str) -> Tuple[str, str]:
     )
 
 
-def _scenario_stalled_shard(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_stalled_shard(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=800, shard_size=200, seed=23)
-    reference = _reference_digest(config, backend)
+    reference = _reference_digest(config)
     victims = _pick_victims(config, 1, "stalled-shard")
     task = ChaosShardTask(
-        config=config, backend=backend, fault="stall",
+        config=config, fault="stall",
         victims=victims, marker_dir=workdir, stall_seconds=30.0,
     )
     started = time.monotonic()
     result = run_campaign(
         config, workers=2, checkpoint_dir=workdir, retries=1,
-        backend=backend, heartbeat_timeout=1.0, shard_task=task,
+        heartbeat_timeout=1.0, shard_task=task,
     )
     elapsed = time.monotonic() - started
     _require(
@@ -297,11 +289,11 @@ def _scenario_stalled_shard(workdir: str, backend: str) -> Tuple[str, str]:
     )
 
 
-def _scenario_deadline_expiry(workdir: str, backend: str) -> Tuple[str, str]:
+def _scenario_deadline_expiry(workdir: str) -> Tuple[str, str]:
     config = CampaignConfig(sessions=2000, shard_size=200, seed=29)
     manifest_path = os.path.join(workdir, "manifest.json")
     result = run_campaign(
-        config, workers=1, backend=backend, deadline=0.0,
+        config, workers=1, deadline=0.0,
         allow_partial=True, failure_manifest=manifest_path,
     )
     _require(result.partial, "expired deadline must yield a partial result")
@@ -341,7 +333,7 @@ class ScenarioSpec:
     name: str
     description: str
     quick: bool
-    body: Callable[[str, str], Tuple[str, str]]
+    body: Callable[[str], Tuple[str, str]]
 
 
 SCENARIOS: Dict[str, ScenarioSpec] = {
@@ -390,7 +382,6 @@ QUICK_SCENARIOS = tuple(
 def run_scenario(
     name: str,
     workdir: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> ScenarioResult:
     """Run one scenario; never raises — failures become a FAIL result."""
     spec = SCENARIOS.get(name)
@@ -399,7 +390,6 @@ def run_scenario(
             f"unknown chaos scenario {name!r}; "
             f"expected one of {sorted(SCENARIOS)}"
         )
-    resolved_backend = resolve_backend(backend)
     started = time.monotonic()
 
     def finish(passed: bool, mode: str, detail: str) -> ScenarioResult:
@@ -411,11 +401,11 @@ def run_scenario(
     try:
         if workdir is None:
             with tempfile.TemporaryDirectory(prefix="chaos-") as temp:
-                mode, detail = spec.body(temp, resolved_backend)
+                mode, detail = spec.body(temp)
         else:
             scenario_dir = os.path.join(workdir, name)
             os.makedirs(scenario_dir, exist_ok=True)
-            mode, detail = spec.body(scenario_dir, resolved_backend)
+            mode, detail = spec.body(scenario_dir)
     except AssertionError as failure:
         return finish(False, "failed", str(failure))
     except Exception as failure:  # noqa: BLE001 - harness boundary
@@ -430,15 +420,11 @@ def run_scenarios(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
     workdir: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> List[ScenarioResult]:
     """Run a set of scenarios (default: all; ``quick``: the CI subset)."""
     if names is None:
         names = QUICK_SCENARIOS if quick else tuple(SCENARIOS)
-    return [
-        run_scenario(name, workdir=workdir, backend=backend)
-        for name in names
-    ]
+    return [run_scenario(name, workdir=workdir) for name in names]
 
 
 def render_results(results: Sequence[ScenarioResult]) -> str:

@@ -71,15 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend", choices=["python", "fast"], default=None,
-        help=(
-            "execution backend (default: the REPRO_BACKEND environment "
-            "variable, else python): `fast` vectorizes analytic campaign "
-            "shards with numpy (infer is always vectorized); all outputs "
-            "are bit-identical across backends"
-        ),
-    )
-    parser.add_argument(
         "--transport", choices=["tcp", "quic"], default=None,
         help=(
             "transport layer under TLS/HTTP (default: the REPRO_TRANSPORT "
@@ -349,16 +340,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate_args(parser, args)
 
-    if args.backend is not None:
+    if args.transport is not None:
         # Export the choice so spawned campaign workers, experiment
         # subprocesses and env-resolving constructors all inherit it.
-        from repro.fastpath import BACKEND_ENV
-
-        os.environ[BACKEND_ENV] = args.backend
-
-    if args.transport is not None:
-        # Same export discipline as --backend: campaign workers and
-        # experiment subprocesses resolve the transport from the env.
         from repro.transport import TRANSPORT_ENV
 
         os.environ[TRANSPORT_ENV] = args.transport
@@ -642,7 +626,6 @@ def _run_campaign(args, build_config) -> int:
             config,
             workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
-            backend=args.backend,
             allow_partial=args.allow_partial,
             deadline=args.deadline,
             heartbeat_timeout=args.heartbeat_timeout,
@@ -667,7 +650,7 @@ def _run_campaign(args, build_config) -> int:
     print(
         f"repro {args.experiment}: {sessions} sessions in "
         f"{elapsed:.1f}s ({rate:,.0f}/s), {result.shards} shards, "
-        f"{result.backend} backend, {result.workers} worker(s), "
+        f"{result.workers} worker(s), "
         f"{result.resumed_shards} shard(s) resumed, peak RSS "
         f"{profiling.peak_rss_kb():,} KB",
         file=sys.stderr,
@@ -727,8 +710,7 @@ def _run_chaos(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    results = run_scenarios(names=names, quick=args.quick,
-                            backend=args.backend)
+    results = run_scenarios(names=names, quick=args.quick)
     print(render_results(results))
     return 0 if all(result.passed for result in results) else 1
 

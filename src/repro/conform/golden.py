@@ -81,8 +81,9 @@ EXPERIMENTS: Dict[str, List[str]] = {
         "robustness-study", "--quick", "--trials", "1", "--workers", "1",
     ],
     # The E19 frontier is pure integer arithmetic over counter streams:
-    # its stdout is independent of transport and backend, and the
-    # determinism matrix additionally pins workers-4 and kill-resume.
+    # its stdout is independent of transport, and the determinism matrix
+    # additionally pins workers-4 and kill-resume.  At --workers 1 the
+    # run is one campaign shard, so kill-resume resumes from none.
     "infer-study": ["infer-study", "--trials", "2", "--workers", "1"],
 }
 

@@ -51,14 +51,6 @@ class TrafficMonitor:
     def capture(self) -> CaptureLog:
         return self._capture
 
-    def is_get_request(self, record: PacketRecord) -> bool:
-        """The monitor's GET heuristic for one packet record."""
-        return (
-            record.direction is Direction.CLIENT_TO_SERVER
-            and record.is_application_data
-            and record.payload_bytes >= self.get_payload_threshold
-        )
-
     def get_requests(self, since: float = 0.0) -> List[GetRequestObservation]:
         """All observed GETs in order.
 
@@ -118,16 +110,6 @@ class TrafficMonitor:
             and not record.dropped_by_adversary
             and record.direction is Direction.SERVER_TO_CLIENT
             and record.is_application_stream
-        ]
-
-    def request_packets(self, since: float = 0.0) -> List[PacketRecord]:
-        """Client→server application-data packets."""
-        return [
-            record
-            for record in self._capture.application_data(
-                Direction.CLIENT_TO_SERVER
-            )
-            if record.time >= since
         ]
 
     def inter_get_gaps(self) -> List[float]:

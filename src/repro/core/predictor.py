@@ -146,29 +146,6 @@ class SizePredictor:
                 best, best_error = estimate, error
         return best
 
-    def predict_sequence(
-        self,
-        estimates: Sequence[ObjectEstimate],
-        candidates: Sequence[str],
-    ) -> List[Tuple[ObjectEstimate, Match]]:
-        """Label estimates against ``candidates`` in temporal order.
-
-        Each candidate is consumed at most once (the emblem images each
-        appear once per page); returns (estimate, match) pairs ordered
-        by estimate start time.
-        """
-        remaining = list(candidates)
-        labelled: List[Tuple[ObjectEstimate, Match]] = []
-        for estimate in sorted(estimates, key=lambda e: e.start_time):
-            match = self.classify(estimate, candidates=remaining)
-            if match is None:
-                continue
-            remaining.remove(match.object_id)
-            labelled.append((estimate, match))
-            if not remaining:
-                break
-        return labelled
-
     def predict_sequence_assignment(
         self,
         estimates: Sequence[ObjectEstimate],

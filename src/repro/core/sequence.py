@@ -78,11 +78,6 @@ class SequenceAttackResult:
         verdict = self.single_object.get(object_id)
         return bool(verdict and verdict.success)
 
-    def sequence_success(self, object_id: str) -> bool:
-        """All-objects-at-a-time success for one object: correct position
-        in the predicted sequence AND non-multiplexed."""
-        return self.sequence_correct.get(object_id, False)
-
 
 class SequenceAttack:
     """Offline analysis of one attacked page load."""
@@ -99,12 +94,6 @@ class SequenceAttack:
         self.predictor = predictor or SizePredictor(
             site.size_map(), chunk_bytes=chunk_bytes
         )
-
-    @property
-    def emblem_ids(self) -> List[str]:
-        """The 8 emblem object ids (identity set, order unknown a
-        priori to the adversary)."""
-        return [f"emblem-{party}" for party in sorted(self.site.party_order)]
 
     def analyze(
         self,

@@ -19,31 +19,26 @@ contamination distribution instead).  Padding then buys privacy at a
 byte cost — but far less privacy against the statistical attacker than
 against the baseline the paper assumed.
 
-All arithmetic is integer end to end, so the table is bit-identical
-across worker counts, backends and kill-resume, and is sealed by a
-golden master.
+The sessions run on the sharded campaign runner
+(:func:`repro.campaign.engine.run_campaign` over an
+:class:`~repro.infer.campaign.InferCampaignConfig`), one shard per
+worker, the same code ``repro infer`` runs.  All arithmetic is integer
+end to end, so the table is bit-identical across worker counts, shard
+splits and kill-resume, and is sealed by a golden master.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.executor import TrialExecutor
+from repro.campaign.engine import run_campaign
+from repro.experiments.executor import resolve_workers
 from repro.experiments.report import format_table
-from repro.infer.dataset import StudyDesign, evaluate_session
+from repro.infer.campaign import InferCampaignConfig
+from repro.infer.dataset import StudyDesign
 from repro.infer.defenses import defense_level
 from repro.infer.summary import InferSummary
-
-
-@dataclass(frozen=True)
-class _InferTrial:
-    """One page-population session, fully derived from (design, index)."""
-
-    design: StudyDesign
-
-    def __call__(self, trial: int) -> Dict[str, object]:
-        return evaluate_session(trial, self.design)
 
 
 def _permille_str(permille: int) -> str:
@@ -119,11 +114,38 @@ def run(
     workers: Optional[int] = None,
     design: Optional[StudyDesign] = None,
 ) -> InferStudyResult:
-    """Sweep defense strength × classifier over ``trials`` sessions."""
+    """Sweep defense strength × classifier over ``trials`` sessions.
+
+    The sessions split into one shard per resolved worker, each at most
+    ``repro infer``'s default shard size, since a shard keeps its
+    features in memory until its predictions end.  No sessions give
+    the empty frontier.
+
+    Raises:
+        ValueError: when ``design`` sets a field
+            :class:`~repro.infer.campaign.InferCampaignConfig` does not
+            carry, so the campaign would run another design.
+    """
     if design is None:
         design = StudyDesign(seed=seed)
-    executor = TrialExecutor(workers=workers)
-    results = executor.map_trials(trials, _InferTrial(design))
     summary = InferSummary(design.levels, design.classifiers)
-    summary.fold_all(results)
+    if trials >= 1:
+        config = InferCampaignConfig(
+            sessions=trials,
+            shard_size=min(
+                InferCampaignConfig.shard_size,
+                -(-trials // resolve_workers(workers)),
+            ),
+            seed=design.seed,
+            reps=design.reps,
+            max_objects=design.max_objects,
+            levels=design.levels,
+            classifiers=design.classifiers,
+        )
+        if config.design() != design:
+            raise ValueError(
+                "infer-study runs only designs an InferCampaignConfig "
+                f"reproduces; got {design!r}"
+            )
+        summary = run_campaign(config, workers=workers).summary
     return InferStudyResult(design=design, summary=summary)

@@ -17,13 +17,15 @@ This package builds both sides of that arms race:
   byte/latency overhead accounting;
 * :mod:`repro.infer.dataset` — the seeded observation model gluing the
   zipf page population to features under each defense level;
-* :mod:`repro.infer.campaign` — the frontier-at-scale mode, a config
-  for the campaign runner :func:`repro.campaign.engine.run_campaign`
-  (shards, checkpoints, supervision, kill-resume).
+* :mod:`repro.infer.campaign` — the config both ``repro infer`` and
+  the E19 study (:mod:`repro.experiments.infer_study`) run on the
+  campaign runner :func:`repro.campaign.engine.run_campaign` (shards,
+  checkpoints, supervision, kill-resume); its shard task calls
+  :func:`repro.infer.dataset.evaluate_sessions`, the one infer runner.
 
 Everything is integer/fixed-point end to end, so results are
-bit-identical across worker counts, backends and kill-resume — the same
-contract as the rest of the testbed.
+bit-identical across worker counts, shard splits and kill-resume — the
+same contract as the rest of the testbed.
 """
 
 from repro.infer.classifiers import (

@@ -1,7 +1,8 @@
 """Frontier-at-scale: the inference study on the campaign runner.
 
 ``repro infer`` evaluates the accuracy/overhead frontier over many
-zipf page-population sessions.  :class:`InferCampaignConfig` is a
+zipf page-population sessions, and ``repro infer-study`` (E19) runs the
+same config with one shard per worker.  :class:`InferCampaignConfig` is a
 :class:`~repro.campaign.engine.ShardedConfig`, so the run goes through
 :func:`repro.campaign.engine.run_campaign` itself — shards on the
 :class:`~repro.experiments.executor.TrialExecutor`, config-digest-sealed
@@ -71,9 +72,7 @@ class InferCampaignConfig(ShardedConfig):
             classifiers=tuple(self.classifiers),
         )
 
-    def shard_task(self, backend: str) -> "InferShardTask":
-        # Infer has one path: observations and features are always
-        # numpy batches, so the backend selects nothing here.
+    def shard_task(self) -> "InferShardTask":
         return InferShardTask(self)
 
     def empty_summary(self) -> InferSummary:

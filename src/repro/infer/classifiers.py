@@ -525,11 +525,15 @@ class LogisticClassifier(Classifier):
         return weights.reshape(n_features, classes)
 
     def predict(self, features) -> List[int]:
+        # argmax takes the first maximum; labels are sorted.
+        logits = self._logits(features)
+        return [int(self._labels[i]) for i in logits.argmax(axis=1)]
+
+    def _logits(self, features) -> np.ndarray:
+        """The (N, C) logits, by einsum: BLAS ``@`` rounds differently."""
         matrix = np.asarray(features, dtype=np.float64)
         scaled = (matrix - self._mean) / self._scale
-        logits = np.einsum("nf,fc->nc", scaled, self._weights) + self._bias
-        # argmax takes the first maximum; labels are sorted.
-        return [int(self._labels[i]) for i in logits.argmax(axis=1)]
+        return np.einsum("nf,fc->nc", scaled, self._weights) + self._bias
 
     def _parameter_arrays(self) -> List[np.ndarray]:
         return [

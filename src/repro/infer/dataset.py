@@ -361,7 +361,10 @@ def evaluate_session(session: int, design: StudyDesign) -> Dict[str, object]:
 
     The one-session case of :func:`evaluate_sessions`.  Returns a
     plain-JSON dict (checkpointable) of integer counters — see
-    :class:`repro.infer.summary.InferSummary.fold` for the shape.
+    :class:`repro.infer.summary.InferSummary.fold` for the shape.  No
+    runner calls it: the tests use it as the one-session oracle, and
+    the benchmark suite's ledger (``benchmarks/suite/ledger.py``)
+    imports it until ROADMAP item 6 retimes that span.
     """
     return evaluate_sessions([session], design)[0]
 

@@ -46,9 +46,8 @@ def counter_stream_base(master_seed: int, name: str) -> int:
 
     The name is hashed once (sha256, like :class:`RandomStreams`) and
     mixed with the master seed; per-index seeds then derive from the
-    base arithmetically via :func:`counter_stream_seed`, which is what
-    lets a batch kernel derive thousands of session seeds in a couple
-    of array operations.
+    base arithmetically via :func:`counter_stream_seed`, with no hash
+    per session.
     """
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     label = int.from_bytes(digest[:8], "big")
@@ -75,15 +74,6 @@ def _mix64(z: "np.ndarray") -> "np.ndarray":
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
     return z ^ (z >> np.uint64(31))
-
-
-def counter_seeds(base: int, indices: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`counter_stream_seed` over uint64 ``indices``."""
-    import numpy as np
-
-    return _mix64(
-        np.uint64(base) + (indices + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA)
-    )
 
 
 def draw64(seeds: "np.ndarray", draw: "np.ndarray | int") -> "np.ndarray":
@@ -138,8 +128,8 @@ class CounterStream:
 
     so the array kernels above (:func:`uniform`, :func:`randint`) can
     compute any draw of any stream without sequential state — the
-    property that makes the analytic campaign kernel and the batched
-    infer observations bit-identical to this scalar implementation.
+    property that makes the batched infer observations bit-identical
+    to this scalar implementation.
     The interface mirrors the ``random.Random`` subset the analytic
     campaign path consumes (``random``/``randint``).
 

@@ -14,12 +14,12 @@ server, middlebox and adversary machinery runs over either:
   independent per-stream loss recovery, no cross-stream head-of-line
   blocking, connection-level flow control.
 
-Selection is explicit and layered, mirroring the fastpath backend: a
-CLI ``--transport`` argument wins, else the ``REPRO_TRANSPORT``
-environment variable, else ``tcp``.  The environment hop carries the
-choice into spawned campaign workers and experiment subprocesses.  The
-TCP path is byte-identical to the pre-refactor code — golden masters
-are asserted unchanged by ``repro verify``.
+Selection is explicit and layered: a CLI ``--transport`` argument
+wins, else the ``REPRO_TRANSPORT`` environment variable, else ``tcp``.
+The environment hop carries the choice into spawned campaign workers
+and experiment subprocesses.  The TCP path is byte-identical to the
+pre-refactor code — golden masters are asserted unchanged by
+``repro verify``.
 """
 
 from __future__ import annotations

@@ -202,39 +202,16 @@ class PopulationWorkload:
             self.config.max_objects,
             self.config.count_exponent,
         )
-        # Per-index stream seeds are mix64 functions of these bases, so
-        # a batch kernel derives a whole shard's seeds arithmetically.
         self._page_base = counter_stream_base(self.seed, "population/pagegen")
         self._analytic_base = counter_stream_base(
             self.seed, "population/analytic"
         )
         # Nominal rank sizes depend only on the config; precomputing the
-        # full support once removes ``**`` from the per-page loop and
-        # guarantees scalar and vectorized paths read identical floats.
+        # full support once removes ``**`` from the per-page loop.
         self._nominal = tuple(
             self.config.head_bytes * rank ** -self.config.size_exponent
             for rank in range(1, self.config.max_objects + 1)
         )
-
-    @property
-    def count_cdf(self) -> Tuple[float, ...]:
-        """Cumulative zipf table of the object-count draw (rank order)."""
-        return tuple(self._count_sampler._cdf)
-
-    @property
-    def nominal_sizes(self) -> Tuple[float, ...]:
-        """Nominal (pre-jitter) object size of each rank, largest first."""
-        return self._nominal
-
-    @property
-    def page_stream_base(self) -> int:
-        """Counter-stream family base of the page-generation draws."""
-        return self._page_base
-
-    @property
-    def analytic_stream_base(self) -> int:
-        """Counter-stream family base of the analytic-evaluator draws."""
-        return self._analytic_base
 
     def session_rng(self, session: int) -> RandomStreams:
         """The independent random substream tree for one session.

@@ -208,7 +208,7 @@ def test_scenario_failure_is_reported_not_raised(monkeypatch):
 
     spec = scenarios_module.SCENARIOS["deadline-expiry"]
 
-    def explode(workdir, backend):
+    def explode(workdir):
         raise RuntimeError("scenario machinery broke")
 
     monkeypatch.setitem(

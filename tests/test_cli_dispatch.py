@@ -139,8 +139,8 @@ def test_transport_flag_exports_environment(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_TRANSPORT", "tcp")
     code, out = _smoke(capsys, ["fig1", "--transport", "quic"])
     assert code == 0
-    # Mirrors --backend: the choice is exported so campaign workers
-    # and env-resolving constructors inherit it.
+    # The choice is exported so campaign workers and env-resolving
+    # constructors inherit it.
     assert os.environ.get("REPRO_TRANSPORT") == "quic"
 
 
@@ -161,6 +161,13 @@ def test_infer_study_smoke(capsys):
     assert code == 0
     assert "E19 / infer" in out
     assert "exact-match baseline" in out
+
+
+def test_infer_study_without_trials_prints_the_empty_frontier(capsys):
+    code, out = _smoke(capsys, ["infer-study", "--trials", "0"])
+    assert code == 0
+    assert "(0 sessions, 0 objects)" in out
+    assert "exact-match baseline 0.0%" in out
 
 
 def test_infer_campaign_smoke(capsys, tmp_path):

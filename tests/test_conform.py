@@ -73,32 +73,21 @@ def test_select_experiments_profiles():
     assert golden.select_experiments(only=["table1"]) == ["table1"]
 
 
-@pytest.mark.parametrize("backend", ["python", "fast"])
-def test_golden_fig1_matches_checked_in(monkeypatch, backend):
-    # Both backends must reproduce the checked-in capture: packet-level
-    # trials run the same simulator code, so golden masters are
-    # backend-invariant.
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_golden_fig1_matches_checked_in():
     captures, section = golden.run_checks(["fig1"])
     assert section.passed, "\n" + section.render()
     assert golden.digest(captures["fig1"]) == \
         golden.load_golden()["fig1"]["sha256"]
 
 
-@pytest.mark.parametrize("backend", ["python", "fast"])
-def test_golden_table1_matches_checked_in(monkeypatch, backend):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_golden_table1_matches_checked_in():
     captures, section = golden.run_checks(["table1"])
     assert section.passed, "\n" + section.render()
     assert golden.digest(captures["table1"]) == \
         golden.load_golden()["table1"]["sha256"]
 
 
-@pytest.mark.parametrize("backend", ["python", "fast"])
-def test_golden_infer_study_matches_checked_in(monkeypatch, backend):
-    # The E19 frontier is integer end to end: both backends (scalar
-    # feature loop vs numpy batch kernel) reproduce the sealed bytes.
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_golden_infer_study_matches_checked_in():
     captures, section = golden.run_checks(["infer-study"])
     assert section.passed, "\n" + section.render()
     assert golden.digest(captures["infer-study"]) == \

@@ -65,18 +65,6 @@ def test_find_object_best_match():
     assert best.payload_bytes == expected + 10
 
 
-def test_predict_sequence_consumes_each_once():
-    predictor = _predictor()
-    estimates = [
-        _estimate(predictor.expected_for("large"), start=1.0),
-        _estimate(predictor.expected_for("small"), start=2.0),
-        _estimate(predictor.expected_for("small"), start=3.0),  # dup
-    ]
-    labelled = predictor.predict_sequence(estimates, list(SIZE_MAP))
-    ids = [match.object_id for _, match in labelled]
-    assert ids == ["large", "small"]
-
-
 def test_predict_sequence_assignment_recovers_order():
     predictor = _predictor()
     order = ["medium", "large", "small"]

@@ -72,14 +72,10 @@ summarize_trial(3, VolunteerWorkload(seed=7), reference_config("fig6"))
 """
 
 
-@pytest.mark.parametrize("transport, backend", [
-    ("tcp", "python"), ("quic", "fast"),
-])
-def test_paper_trial_loads_no_numpy_or_scipy(transport, backend):
+@pytest.mark.parametrize("transport", ["tcp", "quic"])
+def test_paper_trial_loads_no_numpy_or_scipy(transport):
     # The fig6 trial runs the whole attack, sequence assignment included.
-    modules = modules_after(
-        FIG6_TRIAL, REPRO_TRANSPORT=transport, REPRO_BACKEND=backend
-    )
+    modules = modules_after(FIG6_TRIAL, REPRO_TRANSPORT=transport)
     assert f"repro.transport.{transport}" in modules
     assert loaded_under(modules, ["numpy", "scipy"]) == []
 

@@ -412,6 +412,26 @@ def test_stacked_logistic_fit_matches_one_level_loop(case):
     assert_stack_matches_reference("logistic", case)
 
 
+def reference_logits(model, features):
+    """A fitted logistic model's logits as the one-model einsum."""
+    matrix = np.asarray(features, dtype=np.float64)
+    scaled = (matrix - model._mean) / model._scale
+    return np.einsum("nf,fc->nc", scaled, model._weights) + model._bias
+
+
+@pytest.mark.parametrize("width", [2, 8, 33])
+def test_logistic_logits_equal_the_one_model_einsum(width):
+    # A prediction shows a logit's last bits only when its argmax
+    # flips, so compare the logits themselves: a BLAS ``@`` rounds
+    # differently on most shapes.
+    stack, labels, seeds = fixed_stack(4, 24, width, 6, seed=width)
+    models = [LogisticClassifier(seed) for seed in seeds]
+    LogisticClassifier.fit_levels(models, stack, labels)
+    for model, victims in zip(models, probe_stack(stack, labels)):
+        assert model._logits(victims).tobytes() == \
+            reference_logits(model, victims).tobytes()
+
+
 def test_large_stacked_logistic_fit_matches_one_level_loop():
     # 300 models x 24 samples x 32 features is larger than numpy's
     # 8192-element iterator buffer; a sample of models is checked.

@@ -142,17 +142,6 @@ def test_vector_kernel_matches_scalar_exactly(batch, config):
     assert vector == scalar
 
 
-def test_infer_features_ignore_backend(monkeypatch):
-    from repro.fastpath import BACKEND_ENV
-
-    batch = [((0, 120), (2500, 2086)), ((0, 326),)]
-    config = FeatureConfig()
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    python_result = extract_features_batch(batch, config)
-    monkeypatch.setenv(BACKEND_ENV, "fast")
-    assert extract_features_batch(batch, config) == python_result
-
-
 # -- capture adapters ----------------------------------------------------
 
 def _packet(time, direction, content_types, lengths, dropped=False):

@@ -1,8 +1,8 @@
 """E19 and the infer campaign: determinism, folding, resume, frontier.
 
 The determinism matrix for the frontier, in miniature: serial vs
-parallel workers, python vs fast backend, split-vs-whole summary folds,
-and checkpoint resume must all produce bit-identical JSON.  Plus the
+parallel workers, split-vs-whole summary folds and checkpoint resume
+must all produce bit-identical JSON.  Plus the
 two acceptance-criterion shapes: undefended, a statistical classifier
 beats the exact-match baseline; and the defense ladder's byte overhead
 is monotone in the actual study output.
@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,15 +43,23 @@ def test_serial_and_parallel_runs_are_bit_identical():
     assert serial.summary.digest() == parallel.summary.digest()
 
 
-def test_fast_backend_is_bit_identical(monkeypatch):
-    from repro.fastpath import BACKEND_ENV
+def test_study_runs_one_bounded_shard_per_worker(monkeypatch):
+    configs = []
 
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    python_run = _study()
-    monkeypatch.setenv(BACKEND_ENV, "fast")
-    fast_run = _study()
-    assert fast_run.summary.to_json() == python_run.summary.to_json()
-    assert fast_run.render() == python_run.render()
+    def fake_run_campaign(config, workers=None):
+        configs.append(config)
+        return SimpleNamespace(summary=config.empty_summary())
+
+    monkeypatch.setattr(infer_study, "run_campaign", fake_run_campaign)
+    _study(trials=7, workers=2)
+    _study(trials=1_000, workers=1)
+    assert [c.shard_size for c in configs] == [4, 250]
+    assert all(c.design() == SMALL for c in configs)
+
+
+def test_study_rejects_a_design_the_campaign_cannot_run():
+    with pytest.raises(ValueError, match="InferCampaignConfig"):
+        _study(design=dataclasses.replace(SMALL, chunk_bytes=1024))
 
 
 def test_sessions_are_independent_of_sweep_slicing():

@@ -1,5 +1,9 @@
 """Tests of the top-level public API surface."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -121,3 +125,51 @@ def test_priority_scheduler_flush_clears_credits():
     scheduler.flush_stream(1)
     assert 1 not in scheduler._credits
     assert scheduler.pending_frames == 0
+
+
+# -- what the benchmark suite calls ------------------------------------
+#
+# benchmarks/suite changes only together with its recorded baseline, so
+# it can lag behind the package.  A name it imports, a keyword it passes
+# or a positional call it makes must keep working until the suite moves;
+# these tests make such a break fail here, not in a benchmark run.
+
+SUITE = Path(__file__).resolve().parent.parent / "benchmarks" / "suite"
+
+
+def suite_imports():
+    """(file, module, name) of every ``from repro… import name``."""
+    found = []
+    for path in sorted(SUITE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.module or ""
+            ).split(".")[0] == "repro":
+                found.extend(
+                    (path.name, node.module, alias.name)
+                    for alias in node.names
+                )
+    return found
+
+
+@pytest.mark.parametrize("source, module, name", suite_imports())
+def test_suite_import_resolves(source, module, name):
+    if not hasattr(importlib.import_module(module), name):
+        importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+def test_run_campaign_ignores_the_suite_backend_keyword():
+    # campaign-ckpt's reference check passes backend="fast".
+    from repro.campaign.engine import CampaignConfig, run_campaign
+
+    config = CampaignConfig(sessions=2000, shard_size=1000, seed=7000)
+    assert run_campaign(config, workers=1, backend="fast").digest() == \
+        run_campaign(config, workers=1).digest()
+
+
+def test_shard_task_takes_its_config_positionally():
+    # campaign-ckpt wraps ShardTask(config) in its profiling task.
+    from repro.campaign.engine import CampaignConfig, ShardTask
+
+    config = CampaignConfig(sessions=20, shard_size=10, seed=3)
+    assert ShardTask(config)(1) == config.shard_task()(1)
