@@ -16,6 +16,7 @@ mention of off-the-shelf ML classifiers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,22 @@ def expected_wire_payload(
     frames = max(1, math.ceil(body_bytes / chunk_bytes))
     data_wire = body_bytes + frames * (FRAME_HEADER + RECORD_OVERHEAD)
     return data_wire + RESPONSE_HEADERS_WIRE
+
+
+#: Cost of an out-of-tolerance candidate/estimate pair: large enough
+#: that the assignment takes one only when nothing else is left, and
+#: filtered out of the result.
+_OUT_OF_TOLERANCE = 1e12
+
+
+def _matched_pairs(cost: List[List[float]]) -> List[Tuple[int, int]]:
+    """A minimum-cost assignment's in-tolerance ``(row, column)`` pairs."""
+    rows, cols = linear_sum_assignment(cost)
+    return [
+        (row, col)
+        for row, col in zip(rows, cols)
+        if cost[row][col] < _OUT_OF_TOLERANCE
+    ]
 
 
 @dataclass(frozen=True)
@@ -178,69 +195,78 @@ class SizePredictor:
             return []
         pool = list(candidates)
 
-        window = self._sequence_window(ordered, pool)
-        assignment = self._assign(window, pool)
+        cost = self._cost_matrix(ordered, pool)
+        lo, pairs = self._sequence_window(ordered, cost)
+        assignment = [
+            (ordered[lo + col], Match(
+                pool[row],
+                self._expected[pool[row]],
+                ordered[lo + col].payload_bytes,
+            ))
+            for row, col in pairs
+        ]
         assignment.sort(key=lambda pair: pair[0].start_time)
         return assignment
 
     def _sequence_window(
         self,
         ordered: Sequence[ObjectEstimate],
-        pool: Sequence[str],
+        cost: List[List[float]],
         window_seconds: float = 2.5,
         step_seconds: float = 0.25,
-    ) -> List[ObjectEstimate]:
-        """The window of estimates best covering all candidates."""
-        start = ordered[0].start_time
-        end = ordered[-1].start_time
-        best_window: List[ObjectEstimate] = list(ordered)
+    ) -> Tuple[int, List[Tuple[int, int]]]:
+        """The window of estimates best covering all candidates.
+
+        ``ordered`` is sorted by start time, so the estimates a window
+        position holds (``position <= start_time <= position +
+        window_seconds``) are one slice of it, and of ``cost``'s
+        columns.  Each distinct slice is solved once.  Returns the
+        best slice's first index and its in-tolerance ``(row, column)``
+        pairs, columns counted from that index.
+        """
+        starts = [estimate.start_time for estimate in ordered]
+        end = starts[-1]
+        solved: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        # The first position's window holds ordered[0], so it always
+        # replaces this seed.
+        best: Tuple[int, int] = (0, 1)
         best_score: Tuple[int, float, float] = (-1, 0.0, 0.0)
-        position = start
+        position = starts[0]
         while True:
-            in_window = [
-                estimate for estimate in ordered
-                if position <= estimate.start_time <= position + window_seconds
-            ]
-            if in_window:
-                assignment = self._assign(in_window, pool)
-                total_error = sum(match.error for _, match in assignment)
-                score = (len(assignment), -total_error, position)
+            lo = bisect_left(starts, position)
+            hi = bisect_right(starts, position + window_seconds)
+            if lo < hi:
+                pairs = solved.get((lo, hi))
+                if pairs is None:
+                    window_cost = [row[lo:hi] for row in cost]
+                    pairs = solved[(lo, hi)] = _matched_pairs(window_cost)
+                total_error = sum(cost[row][lo + col] for row, col in pairs)
+                score = (len(pairs), -total_error, position)
                 if score > best_score:
                     best_score = score
-                    best_window = in_window
+                    best = (lo, hi)
             if position > end:
                 break
             position += step_seconds
-        return best_window
+        return best[0], solved[best]
 
-    def _assign(
+    def _cost_matrix(
         self,
         estimates: Sequence[ObjectEstimate],
         pool: Sequence[str],
-    ) -> List[Tuple[ObjectEstimate, Match]]:
-        """Min-error bipartite assignment of candidates to estimates."""
-        if not estimates:
-            return []
-        big = 1e12
+    ) -> List[List[float]]:
+        """Candidate × estimate size errors; out-of-tolerance pairs cost
+        :data:`_OUT_OF_TOLERANCE`."""
         cost = []
         for object_id in pool:
             expected = self._expected[object_id]
             cost.append([
                 abs(estimate.payload_bytes - expected)
                 if self._within_tolerance(estimate.payload_bytes, expected)
-                else big
+                else _OUT_OF_TOLERANCE
                 for estimate in estimates
             ])
-        rows, cols = linear_sum_assignment(cost)
-        return [
-            (estimates[col], Match(
-                pool[row],
-                self._expected[pool[row]],
-                estimates[col].payload_bytes,
-            ))
-            for row, col in zip(rows, cols)
-            if cost[row][col] < big
-        ]
+        return cost
 
 
 class NearestNeighborClassifier:

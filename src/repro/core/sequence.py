@@ -18,12 +18,12 @@ stream, is this object predicted at its true position?).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.estimator import ObjectEstimate, SizeEstimator
 from repro.core.metrics import MultiplexingReport
 from repro.core.monitor import TrafficMonitor
-from repro.core.predictor import Match, SizePredictor
+from repro.core.predictor import SizePredictor
 from repro.web.isidewith import HTML_OBJECT_ID, IsideWithSite
 
 

@@ -125,6 +125,19 @@ class H2Connection:
             Callable[[int, int, Tuple[Tuple[str, str], ...]], None]
         ] = None
 
+        # Frame type → receive handler, built once (not per frame).
+        self._frame_handlers: Dict[type, Callable[[Any, bool], None]] = {
+            HeadersFrame: self._recv_headers,
+            DataFrame: self._recv_data,
+            SettingsFrame: self._recv_settings,
+            RstStreamFrame: self._recv_rst,
+            WindowUpdateFrame: self._recv_window_update,
+            PriorityFrame: self._recv_priority,
+            PingFrame: self._recv_ping,
+            GoAwayFrame: self._recv_goaway,
+            PushPromiseFrame: self._recv_push_promise,
+        }
+
         session.on_application_record = self._on_record
         previous_complete = session.on_handshake_complete
         def handshake_done() -> None:
@@ -407,17 +420,7 @@ class H2Connection:
             stream=payload.stream_id,
             duplicate=duplicate,
         )
-        handler = {
-            HeadersFrame: self._recv_headers,
-            DataFrame: self._recv_data,
-            SettingsFrame: self._recv_settings,
-            RstStreamFrame: self._recv_rst,
-            WindowUpdateFrame: self._recv_window_update,
-            PriorityFrame: self._recv_priority,
-            PingFrame: self._recv_ping,
-            GoAwayFrame: self._recv_goaway,
-            PushPromiseFrame: self._recv_push_promise,
-        }.get(type(payload))
+        handler = self._frame_handlers.get(type(payload))
         if handler is not None:
             handler(payload, duplicate)
 

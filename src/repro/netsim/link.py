@@ -11,6 +11,7 @@ injects its jitter at the middlebox, so links default to in-order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.netsim.faults import FaultEffect, FaultInjector, FaultSchedule
@@ -114,7 +115,6 @@ class Link:
             )
         self._sim = sim
         self.config = config
-        self._rng = rng
         self._trace = trace
         self.name = name
         self.reorder_allowed = reorder_allowed
@@ -134,17 +134,18 @@ class Link:
         # bytes-per-second value is bit-identical to transmission_delay()
         # (which computes size / (bps / 8.0) on every call).
         self._bytes_per_second = config.bandwidth_bps / 8.0
-
-    def _jitter_draw(self) -> float:
-        if self.config.jitter <= 0 or self._rng is None:
-            return 0.0
-        return self._rng.uniform(f"{self.name}.jitter", 0.0, self.config.jitter)
-
-    def _loss_draw(self) -> bool:
-        if self.config.loss_rate <= 0 or self._rng is None:
-            return False
-        return (
-            self._rng.stream(f"{self.name}.loss").random() < self.config.loss_rate
+        # The loss and jitter substreams, resolved once.  A substream is
+        # seeded from its name alone, so resolving it early draws
+        # nothing; a link without the setting never creates one.
+        self._loss_rate = config.loss_rate
+        self._loss_stream = (
+            rng.stream(f"{name}.loss") if config.loss_rate > 0 else None
+        )
+        self._jitter = config.jitter
+        self._jitter_stream = (
+            rng.stream(f"{name}.jitter")
+            if config.jitter > 0 and rng is not None
+            else None
         )
 
     def _transmit(self, packet: Packet, from_index: int) -> None:
@@ -183,7 +184,8 @@ class Link:
             self._record("link.drop.queue", packet, from_index)
             return
 
-        if self._loss_draw():
+        loss_stream = self._loss_stream
+        if loss_stream is not None and loss_stream.random() < self._loss_rate:
             direction.dropped += 1
             self._record("link.drop.loss", packet, from_index)
             return
@@ -191,7 +193,12 @@ class Link:
         start = now if now > busy_until else busy_until
         busy_until = start + serialization
         direction.busy_until = busy_until
-        arrival = busy_until + self.config.propagation_delay + self._jitter_draw()
+        jitter_stream = self._jitter_stream
+        arrival = busy_until + self.config.propagation_delay + (
+            jitter_stream.uniform(0.0, self._jitter)
+            if jitter_stream is not None
+            else 0.0
+        )
         allow_reorder = self.reorder_allowed
         if effect is not None:
             arrival += effect.extra_delay
@@ -202,8 +209,10 @@ class Link:
             direction.last_arrival = arrival
         direction.sent += 1
 
+        # The receiving end's handler is looked up at delivery, not now.
         to_end = self.b if from_index == 0 else self.a
-        self._sim.schedule_at(arrival, lambda: self._deliver(to_end, packet))
+        deliver = partial(self._deliver, to_end, packet)
+        self._sim.schedule_at(arrival, deliver)
         if effect is not None and effect.duplicate:
             # A duplicated packet follows its original back-to-back.
             dup_arrival = arrival + serialization
@@ -212,9 +221,7 @@ class Link:
             if dup_arrival > direction.last_arrival:
                 direction.last_arrival = dup_arrival
             direction.duplicated += 1
-            self._sim.schedule_at(
-                dup_arrival, lambda: self._deliver(to_end, packet)
-            )
+            self._sim.schedule_at(dup_arrival, deliver)
             self._record("link.dup", packet, from_index, arrival=dup_arrival)
         trace = self._trace
         if trace is not None:

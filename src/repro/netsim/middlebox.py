@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Protocol
 
 from repro.netsim.capture import CaptureLog, Direction, PacketRecord
@@ -179,7 +180,17 @@ class Middlebox:
     # Forwarding -----------------------------------------------------------
 
     def _ingress(self, packet: Packet, direction: Direction) -> None:
-        now = self._sim.now
+        """Tap, filter and release one arriving packet.
+
+        A packet released at once — no fault effect, no filter delay, no
+        throttle wait — is forwarded inline when the forward event it
+        would need is the one the simulator dispatches next
+        (:meth:`~repro.simkernel.simulator.Simulator.runs_next`): the
+        same work then happens in the same order, one event sooner.
+        Otherwise the forward is scheduled for the release time.
+        """
+        sim = self._sim
+        now = sim.now
         fault = None
         injector = self._faults[direction]
         if injector is not None:
@@ -219,13 +230,18 @@ class Middlebox:
             extra = bucket.delay_until_conformant(packet.wire_size, release_time)
             bucket.consume_at(packet.wire_size, release_time + extra)
             release_time += extra
-        self._sim.schedule_at(
-            release_time, lambda: self._forward(packet, direction)
-        )
+        if (
+            fault is None
+            and not release_delay
+            and release_time == now
+            and sim.runs_next()
+        ):
+            self._forward(packet, direction)
+            return
+        forward = partial(self._forward, packet, direction)
+        sim.schedule_at(release_time, forward)
         if fault is not None and fault.duplicate:
-            self._sim.schedule_at(
-                release_time, lambda: self._forward(packet, direction)
-            )
+            sim.schedule_at(release_time, forward)
             self._record("middlebox.dup", packet, direction)
         if release_delay > 0:
             self._record(

@@ -27,19 +27,22 @@ class Simulator:
         # Bound method, hoisted: schedule() runs hundreds of thousands
         # of times per trial and the extra attribute hop is measurable.
         self._push = self._queue.push
-        self._now = 0.0
+        #: Current simulated time, in seconds.  A plain attribute, read
+        #: thousands of times per trial; only the run loop,
+        #: :meth:`run_until` and :meth:`reset` write it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._events_executed = 0
 
     @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
-    @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (cancelled ones excluded)."""
+        """Number of events dispatched so far (cancelled ones excluded).
+
+        Work a callback does inline counts toward its own event: a
+        middlebox forward run inside its ingress event (see
+        :meth:`runs_next`) is not an event of its own.
+        """
         return self._events_executed
 
     @property
@@ -68,7 +71,7 @@ class Simulator:
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self._push(self._now + delay, priority, callback)
+        return self._push(self.now + delay, priority, callback)
 
     def schedule_at(
         self,
@@ -81,15 +84,43 @@ class Simulator:
         Raises:
             SchedulingError: if ``time`` is earlier than the current time.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         return self._push(time, priority, callback)
 
     def call_soon(self, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at the current instant (after pending work)."""
-        return self._push(self._now, self.PRIORITY_NORMAL, callback)
+        return self._push(self.now, self.PRIORITY_NORMAL, callback)
+
+    def postpone(self, event: Event, time: float) -> None:
+        """Move the pending ``event`` to absolute ``time``, no earlier
+        than its current time, ordered exactly as cancelling it and
+        scheduling anew at ``time`` would order it (see
+        :meth:`EventQueue.postpone`).
+
+        Raises:
+            SchedulingError: if the event is not pending or ``time`` is
+                earlier than its current time.
+        """
+        self._queue.postpone(event, time)
+
+    def runs_next(self, priority: int = PRIORITY_NORMAL) -> bool:
+        """Whether an event scheduled now at ``priority`` would be the
+        next one the running loop dispatches.
+
+        True while the loop is running with no :meth:`stop` pending and
+        no live event due at ``(now, <= priority)``; the new event would
+        take the largest sequence number, so it would follow every such
+        event.  A caller may then run the callback inline instead of
+        scheduling it, with the same order of everything that happens.
+        """
+        return (
+            self._running
+            and not self._stopped
+            and not self._queue.has_due(self.now, priority)
+        )
 
     def stop(self) -> None:
         """Stop the run loop after the current callback returns."""
@@ -97,7 +128,8 @@ class Simulator:
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, :meth:`stop` is called, or
-        ``max_events`` callbacks have executed.
+        ``max_events`` events have been dispatched (work a callback runs
+        inline counts toward its own event; see :attr:`events_executed`).
 
         Raises:
             SchedulingError: on re-entrant invocation.
@@ -108,8 +140,8 @@ class Simulator:
         """Run events with ``time <= until`` and leave the clock at
         ``until`` (or at the stop point if stopped early)."""
         self._run_loop(until=until, max_events=max_events)
-        if not self._stopped and self._now < until:
-            self._now = until
+        if not self._stopped and self.now < until:
+            self.now = until
         self._stopped = False
 
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> None:
@@ -126,7 +158,7 @@ class Simulator:
                 event = pop_until(until)
                 if event is None:
                     break
-                self._now = event.time
+                self.now = event.time
                 event.callback()
                 executed += 1
                 self._events_executed += 1
@@ -140,11 +172,11 @@ class Simulator:
         references must not be reused across a reset.
         """
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._stopped = False
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
             f"executed={self._events_executed})"
         )

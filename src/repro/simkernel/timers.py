@@ -17,8 +17,15 @@ from repro.simkernel.simulator import Simulator
 class Timer:
     """A single-shot timer that can be (re)started and cancelled.
 
-    The callback fires once per start; restarting an armed timer cancels
-    the previous deadline first.
+    The callback fires once per start; restarting an armed timer
+    replaces the previous deadline.  A restart to a later-or-equal
+    deadline moves the armed event in place
+    (:meth:`~repro.simkernel.simulator.Simulator.postpone`); an earlier
+    one cancels it and schedules a new event.  Either way the timer
+    fires under the (time, priority, sequence) key a cancel followed by
+    a fresh schedule would give it, so restarts never reorder events —
+    but the common restart (a retransmission or ACK timer pushed back)
+    allocates nothing and leaves no dead heap entry behind.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "") -> None:
@@ -40,9 +47,15 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
+        sim = self._sim
+        expiry = sim.now + delay
+        if self._event is not None and expiry >= self._expiry:
+            sim.postpone(self._event, expiry)
+            self._expiry = expiry
+            return
         self.cancel()
-        self._expiry = self._sim.now + delay
-        self._event = self._sim.schedule(
+        self._expiry = expiry
+        self._event = sim.schedule(
             delay, self._fire, priority=Simulator.PRIORITY_TIMER
         )
 

@@ -19,10 +19,11 @@ The log is built for a hot append path and a cold query path:
   :meth:`TraceLog.render_lines`) are formatted only when a report or
   inspection tool asks for them — never on the record path.
 
-A per-category index alongside the append-only record list keeps the
-exact-category queries the harness issues several times per trial
-(:meth:`TraceLog.select` / :meth:`TraceLog.count`) from scanning every
-record ever logged.
+A per-category index keeps the exact-category queries the harness
+makes several times per trial (:meth:`TraceLog.select` /
+:meth:`TraceLog.count`) from scanning every record ever logged.  The
+append path does not maintain it: the first query builds it, and each
+later query extends it over the records appended since.
 """
 
 from __future__ import annotations
@@ -82,15 +83,24 @@ class TraceRecord:
 
 
 class TraceLog:
-    """An append-only, filterable event log shared by a testbed."""
+    """An append-only, filterable event log shared by a testbed.
+
+    :meth:`record` appends one tuple and does nothing else; the
+    per-category index the queries use is brought up to date by the
+    queries themselves (:meth:`_indexed`), so a trial that records tens
+    of thousands of rows and queries a few categories pays for the index
+    once, at its first query.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         #: Raw rows: ``(time, category, fields)`` tuples, append order.
         self._raw: List[tuple] = []
         #: index → materialized record, filled lazily by :meth:`_get`.
         self._cache: Dict[int, TraceRecord] = {}
-        #: category → indices into ``_raw``, in append order.
+        #: category → indices into ``_raw``, in append order, covering
+        #: the first ``_index_end`` rows (categories in first-seen order).
         self._by_category: Dict[str, List[int]] = {}
+        self._index_end = 0
         self.enabled = enabled
 
     def __len__(self) -> int:
@@ -110,14 +120,22 @@ class TraceLog:
     def record(self, time: float, category: str, **fields: Any) -> None:
         """Append one record (a no-op when the log is disabled)."""
         if self.enabled:
-            raw = self._raw
-            index = len(raw)
-            raw.append((time, category, fields))
-            bucket = self._by_category.get(category)
+            self._raw.append((time, category, fields))
+
+    def _indexed(self) -> Dict[str, List[int]]:
+        """The per-category index, extended over the rows appended since
+        the last query."""
+        raw = self._raw
+        by_category = self._by_category
+        for index in range(self._index_end, len(raw)):
+            category = raw[index][1]
+            bucket = by_category.get(category)
             if bucket is None:
-                self._by_category[category] = [index]
+                by_category[category] = [index]
             else:
                 bucket.append(index)
+        self._index_end = len(raw)
+        return by_category
 
     def _get(self, index: int) -> TraceRecord:
         """Materialize (and cache) the record at ``index``."""
@@ -136,11 +154,11 @@ class TraceLog:
         if category is not None:
             if prefix is not None and not category.startswith(prefix):
                 return []
-            return self._by_category.get(category, [])
+            return self._indexed().get(category, [])
         if prefix is not None:
             buckets = [
                 indices
-                for cat, indices in self._by_category.items()
+                for cat, indices in self._indexed().items()
                 if cat.startswith(prefix)
             ]
             if not buckets:
@@ -188,11 +206,11 @@ class TraceLog:
         if category is not None:
             if prefix is not None and not category.startswith(prefix):
                 return 0
-            return len(self._by_category.get(category, ()))
+            return len(self._indexed().get(category, ()))
         if prefix is not None:
             return sum(
                 len(indices)
-                for cat, indices in self._by_category.items()
+                for cat, indices in self._indexed().items()
                 if cat.startswith(prefix)
             )
         return len(self._raw)
@@ -201,7 +219,7 @@ class TraceLog:
         """Histogram of categories, for quick inspection in tests."""
         return {
             category: len(indices)
-            for category, indices in self._by_category.items()
+            for category, indices in self._indexed().items()
             if indices
         }
 
@@ -216,3 +234,4 @@ class TraceLog:
         self._raw.clear()
         self._cache.clear()
         self._by_category.clear()
+        self._index_end = 0

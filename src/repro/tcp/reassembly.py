@@ -79,10 +79,17 @@ class ReassemblyBuffer:
         """
         if end <= start:
             return 0
-        if end <= self._rcv_nxt:
+        rcv_nxt = self._rcv_nxt
+        if end <= rcv_nxt:
             self.duplicate_bytes += end - start
             return 0
-        new_bytes = self._insert(max(start, self._rcv_nxt), end)
+        segments = self._segments
+        if start <= rcv_nxt and (not segments or end < segments[0][0]):
+            # In order, and short of the first buffered range (touching
+            # it would merge): only the cumulative point moves.
+            self._rcv_nxt = end
+            return end - rcv_nxt
+        new_bytes = self._insert(max(start, rcv_nxt), end)
         if not new_bytes:
             self.duplicate_bytes += end - start
         self._advance()

@@ -1,10 +1,14 @@
 """Unit tests for the size predictor, kNN classifier and blob analyzer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import PartialMultiplexingAnalyzer
+from repro.core.assignment import linear_sum_assignment
 from repro.core.estimator import ObjectEstimate
 from repro.core.predictor import (
+    Match,
     NearestNeighborClassifier,
     SizePredictor,
 )
@@ -235,3 +239,92 @@ def test_blob_no_explanation():
 def test_blob_analyzer_validation():
     with pytest.raises(ValueError):
         PartialMultiplexingAnalyzer(_predictor(), max_objects_per_blob=0)
+
+
+# -- the sequence window against the per-window reference ------------------
+
+EMBLEMS = {f"e{index}": 3000 + 2100 * index for index in range(8)}
+
+
+def _reference_assign(predictor, estimates, pool):
+    """The assignment over a cost matrix built for one window alone."""
+    if not estimates:
+        return []
+    big = 1e12
+    cost = []
+    for object_id in pool:
+        expected = predictor.expected_for(object_id)
+        cost.append([
+            abs(estimate.payload_bytes - expected)
+            if predictor._within_tolerance(estimate.payload_bytes, expected)
+            else big
+            for estimate in estimates
+        ])
+    rows, cols = linear_sum_assignment(cost)
+    return [
+        (estimates[col], Match(
+            pool[row], predictor.expected_for(pool[row]),
+            estimates[col].payload_bytes,
+        ))
+        for row, col in zip(rows, cols)
+        if cost[row][col] < big
+    ]
+
+
+def reference_sequence_assignment(predictor, estimates, candidates):
+    """``predict_sequence_assignment`` with a filter and a fresh cost
+    matrix at every window position."""
+    ordered = sorted(estimates, key=lambda e: e.start_time)
+    if not ordered:
+        return []
+    pool = list(candidates)
+    start, end = ordered[0].start_time, ordered[-1].start_time
+    best_window, best_score = list(ordered), (-1, 0.0, 0.0)
+    position = start
+    while True:
+        in_window = [
+            estimate for estimate in ordered
+            if position <= estimate.start_time <= position + 2.5
+        ]
+        if in_window:
+            assignment = _reference_assign(predictor, in_window, pool)
+            total_error = sum(match.error for _, match in assignment)
+            score = (len(assignment), -total_error, position)
+            if score > best_score:
+                best_score, best_window = score, in_window
+        if position > end:
+            break
+        position += 0.25
+    assignment = _reference_assign(predictor, best_window, pool)
+    assignment.sort(key=lambda pair: pair[0].start_time)
+    return assignment
+
+
+@st.composite
+def emblem_bursts(draw):
+    """Bursts near emblem sizes (and junk) on a 50 ms grid with ties."""
+    predictor = SizePredictor(EMBLEMS)
+    expected = [predictor.expected_for(name) for name in EMBLEMS]
+    sizes = st.one_of(
+        st.builds(lambda base, error: base + error,
+                  st.sampled_from(expected), st.integers(-700, 700)),
+        st.integers(100, 25_000),
+    )
+    return [
+        _estimate(draw(sizes), start=0.05 * draw(st.integers(0, 200)))
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+
+
+@given(emblem_bursts(), st.permutations(sorted(EMBLEMS)), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+# A window holds the estimate starting exactly at its end (2.5 s on).
+@example([_estimate(SizePredictor(EMBLEMS).expected_for("e1"), start=0.0),
+          _estimate(SizePredictor(EMBLEMS).expected_for("e2"), start=2.5),
+          _estimate(20_000, start=2.75)], sorted(EMBLEMS), 8)
+def test_sequence_assignment_matches_per_window_reference(estimates, order, size):
+    predictor = SizePredictor(EMBLEMS)
+    candidates = order[:size]
+    got = predictor.predict_sequence_assignment(estimates, candidates)
+    want = reference_sequence_assignment(predictor, estimates, candidates)
+    assert [(id(e), m) for e, m in got] == [(id(e), m) for e, m in want]

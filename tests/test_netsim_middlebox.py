@@ -93,6 +93,28 @@ def test_middlebox_delays_accumulate_across_filters(sim):
     assert received["server"][0][0] >= 0.5
 
 
+def test_middlebox_forwards_zero_delay_packets_inside_the_ingress_event(sim):
+    topo, received = _wired_middlebox(sim)
+    topo.client.send(Packet(Endpoint("client", 1), Endpoint("server", 2), None))
+    sim.run()
+    assert len(received["server"]) == 1
+    # Two link deliveries; the forward between them ran inline.
+    assert sim.events_executed == 2
+
+
+def test_middlebox_delay_absorbed_by_the_clock_is_recorded_then_forwarded(sim):
+    topo, received = _wired_middlebox(sim)
+    # now + 1e-300 == now: the release time is the arrival time, but a
+    # delay verdict was given, so it is recorded before the forward.
+    topo.middlebox.add_filter(Direction.CLIENT_TO_SERVER, _Delay(1e-300))
+    topo.client.send(Packet(Endpoint("client", 1), Endpoint("server", 2), None))
+    sim.run()
+    assert len(received["server"]) == 1
+    assert [record.category for record in topo.trace] == [
+        "link.send", "middlebox.delay", "link.send",
+    ]
+
+
 def test_middlebox_remove_and_clear_filters(sim):
     topo, received = _wired_middlebox(sim)
     drop = _Drop()

@@ -1,6 +1,6 @@
 """Property-based tests for TCP reassembly and the stream layout."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.tcp.reassembly import ReassemblyBuffer
@@ -154,8 +154,19 @@ probes_strategy = st.lists(
 )
 
 
+# In-order arrivals skip the range list when they end short of the first
+# buffered range; these pin that fast path's edges.
+IN_ORDER_RUN = [(10 * i, 10 * i + 10) for i in range(30)] + [(295, 310)]
+ENDS_AT_BUFFERED_START = [(0, 5), (20, 30), (4, 20), (30, 31)]
+HOLE_FILLED_AFTER_FAST_PATH = [(0, 10), (20, 30), (10, 15), (40, 45), (15, 20),
+                               (30, 40)]
+
+
 @given(arrivals_strategy, probes_strategy)
 @settings(max_examples=300)
+@example(IN_ORDER_RUN, [(0, 310), (300, 311)])
+@example(ENDS_AT_BUFFERED_START, [(0, 31), (5, 20), (30, 32)])
+@example(HOLE_FILLED_AFTER_FAST_PATH, [(0, 45), (12, 18), (44, 46)])
 def test_reassembly_matches_byte_set_model(arrivals, probes):
     """rcv_nxt, ranges, duplicate flags/bytes and covers() all agree."""
     _check_against_model(arrivals, probes)
@@ -183,6 +194,9 @@ def _check_merge_against_model(arrivals):
 
 @given(arrivals_strategy)
 @settings(max_examples=300)
+@example(IN_ORDER_RUN)
+@example(ENDS_AT_BUFFERED_START)
+@example(HOLE_FILLED_AFTER_FAST_PATH)
 def test_merge_counts_fresh_bytes_like_byte_set_model(arrivals):
     """merge() returns the bytes a range newly covers; received_ranges()
     lists the cumulative range and then every buffered one."""

@@ -155,3 +155,56 @@ def test_reset_rewinds(sim):
 def test_run_until_clock_advances_even_without_events(sim):
     sim.run_until(7.0)
     assert sim.now == 7.0
+
+
+def test_runs_next_answers_only_inside_the_loop(sim):
+    assert not sim.runs_next()  # nothing is dispatching
+    answers = []
+    sim.schedule(1.0, lambda: answers.append(sim.runs_next()))
+    sim.run()
+    assert answers == [True]
+
+
+def test_runs_next_sees_events_due_now_at_or_below_the_priority(sim):
+    answers = []
+
+    def probe():
+        answers.append(
+            (sim.runs_next(), sim.runs_next(Simulator.PRIORITY_TIMER))
+        )
+
+    def at_one():
+        # A timer due now fires after a normal-priority event pushed
+        # now, and before a timer-priority one.
+        sim.schedule(0.0, lambda: None, priority=Simulator.PRIORITY_TIMER)
+        probe()
+        sim.schedule(0.0, lambda: None)
+        probe()
+
+    sim.schedule(1.0, at_one)
+    sim.run()
+    assert answers == [(True, False), (False, False)]
+
+
+def test_runs_next_is_false_once_stop_is_pending(sim):
+    answers = []
+
+    def stop_then_probe():
+        sim.stop()
+        answers.append(sim.runs_next())
+
+    sim.schedule(1.0, stop_then_probe)
+    sim.run()
+    assert answers == [False]
+
+
+def test_postpone_orders_like_a_cancel_and_a_fresh_schedule(sim):
+    fired = []
+    moved = sim.schedule(1.0, lambda: fired.append("moved"))
+    sim.schedule(2.0, lambda: fired.append("fixed"))
+    sim.postpone(moved, 2.0)  # same instant, but the newer sequence
+    sim.run()
+    assert fired == ["fixed", "moved"]
+    assert sim.now == 2.0
+    with pytest.raises(SchedulingError):
+        sim.postpone(moved, 3.0)  # already dispatched

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel.errors import SimulationError
+from repro.simkernel.errors import SchedulingError, SimulationError
 from repro.simkernel.process import Process
 from repro.simkernel.timers import Timer
 
@@ -118,3 +118,28 @@ def test_process_negative_yield_raises(sim):
     Process(sim, script()).start()
     with pytest.raises(SimulationError):
         sim.run()
+
+
+def test_timer_restart_later_moves_its_event_in_place(sim):
+    fired = []
+    timer = Timer(sim, lambda: fired.append(("timer", sim.now)))
+    other = Timer(sim, lambda: fired.append(("other", sim.now)))
+    timer.start(1.0)
+    event = timer._event
+    other.start(2.0)
+    timer.start(2.0)  # later: the same event, re-keyed after ``other``
+    assert timer._event is event
+    assert timer.expiry == 2.0
+    timer.start(0.5)  # earlier: cancelled and scheduled anew
+    assert timer._event is not event and event.cancelled
+    timer.start(2.0)
+    sim.run()
+    assert fired == [("other", 2.0), ("timer", 2.0)]
+    assert sim.pending_events == 0
+
+
+def test_timer_negative_restart_still_raises(sim):
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
+    with pytest.raises(SchedulingError):
+        timer.start(-1.0)
