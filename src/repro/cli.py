@@ -1,19 +1,29 @@
-"""Command-line interface: ``python -m repro <experiment> [options]``.
+"""Command-line interface: ``python -m repro <command> [options]``.
 
-Runs any of the paper's experiments and prints its table:
+One command per paper table, figure and extension study, plus the
+sharded campaigns, the conformance harness and the chaos scenarios:
 
-    python -m repro baseline --trials 30
-    python -m repro table1 --trials 100
-    python -m repro table2 --trials 50 --seed 11
-    python -m repro fig1
-    python -m repro fig5
-    python -m repro fig6
-    python -m repro delay
-    python -m repro ablations          # all five E8 studies
-    python -m repro attack --trial 3   # one annotated session
     python -m repro table1 --trials 100 --workers 8   # parallel trials
-    python -m repro infer-study --trials 12           # E19 frontier
-    python -m repro infer --sessions 500 --workers 8  # frontier at scale
+    python -m repro attack --trial 3                  # one annotated session
+    python -m repro infer --sessions 500 --workers 8  # E19 at campaign scale
+    python -m repro verify --quick
+
+Every command has its own argparse parser and takes only the flags it
+reads; ``repro <command> --help`` lists them.  Flags that several
+commands share are declared once, as parent parsers:
+
+* ``--transport``: every command (it exports ``REPRO_TRANSPORT``);
+* ``--seed --workers --profile``: every command but verify and chaos;
+* ``--trials``: the paper-experiment commands (all but campaign,
+  infer, verify and chaos);
+* ``--sessions --shard-size --checkpoint-dir --json``: campaign, infer;
+* ``--reps --defenses --classifiers --max-objects``: infer-study, infer.
+
+A flag outside its command, or an abbreviation of one, exits 2 with
+``repro <command>: error: unrecognized arguments: ...``.  Each parser
+binds its command's runner with ``set_defaults(run=...)``, and a flag's
+default is stated once: in its declaration, or, for the campaign and
+E19 knobs, in the config class the flag overrides.
 
 Worker processes (``--workers`` / ``REPRO_WORKERS``) parallelize trial
 execution; results are bit-identical for any worker count.
@@ -22,12 +32,48 @@ execution; results are bit-identical for any worker count.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = parse_args(argv)
+    if args.transport is not None:
+        # Export the choice so spawned campaign workers, experiment
+        # subprocesses and env-resolving constructors all inherit it.
+        from repro.transport import TRANSPORT_ENV
+
+        os.environ[TRANSPORT_ENV] = args.transport
+    if not getattr(args, "profile", False) or args.command == "profile":
+        return args.run(args)
+
+    from repro import profiling
+
+    if args.workers > 1:
+        print("repro: note: --profile with --workers > 1 only observes the "
+              "parent process; use the serial executor for full coverage",
+              file=sys.stderr)
+    profiler = profiling.activate()
+    try:
+        return args.run(args)
+    finally:
+        # Every exit path, early returns included, renders the report
+        # and leaves no profiler active in the calling process.
+        for name, amount in profiling.hpack_cache_counters().items():
+            profiler.counters[name] = amount
+        profiling.deactivate()
+        print(profiler.render(), file=sys.stderr)
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse a command line; exits 2 on anything its command does not take.
+
+    The namespace's ``run(args)`` is the command's runner.  Where the
+    command takes ``--workers``, ``workers`` is the resolved count.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -35,486 +81,354 @@ def _build_parser() -> argparse.ArgumentParser:
             "(DSN 2020) — run the paper's experiments."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "baseline", "table1", "table2", "fig1", "fig5", "fig6",
-            "delay", "ablations", "attack", "trigger", "streaming",
-            "partialmux", "generalization", "fingerprint", "scorecard",
-            "transport-study", "profile", "robustness-study", "verify",
-            "campaign", "chaos", "infer-study", "infer",
-        ],
-        help="which paper experiment to run (`verify` for the "
-             "conformance & golden-master harness, `campaign` for the "
-             "population-scale sharded campaign engine, `chaos` for the "
-             "fault-injection recovery scenarios, `infer-study` for the "
-             "E19 inference-vs-defenses frontier, `infer` for the same "
-             "frontier at campaign scale)",
+    commands = parser.add_subparsers(
+        dest="command", metavar="command", required=True,
+        title="commands (repro <command> --help lists its flags)",
     )
-    parser.add_argument(
-        "--trials", type=int, default=25,
-        help="page loads per configuration (paper: 100)",
+    _add_commands(commands)
+    args, extras = parser.parse_known_args(argv)
+    command = commands.choices[args.command]
+    if extras:
+        command.error(f"unrecognized arguments: {' '.join(extras)}")
+    if "workers" in args:
+        from repro.experiments.executor import resolve_workers
+
+        try:
+            args.workers = resolve_workers(args.workers)
+        except ValueError as error:
+            command.error(str(error))
+    return args
+
+
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a count >= 0: {text!r}")
+    return value
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: flags that several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _add_commands(commands) -> None:
+    """Declare every command: its parent flags, its own flags, its runner."""
+    transport = _flags()
+    transport.add_argument(
+        "--transport", choices=["tcp", "quic"],
+        help="transport under TLS/HTTP (default: REPRO_TRANSPORT, else "
+             "tcp): the paper's byte stream, whose head-of-line blocking "
+             "the attack exploits, or QUIC-like per-stream recovery",
     )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload master seed"
+    runs = _flags(transport)
+    runs.add_argument("--seed", type=int, default=7,
+                      help="workload master seed (default %(default)s)")
+    runs.add_argument(
+        "--workers", type=int,
+        help="worker processes (default: REPRO_WORKERS, else 1 = serial); "
+             "results are identical for any worker count",
     )
-    parser.add_argument(
-        "--trial", type=int, default=None,
-        help="volunteer index (attack experiment only)",
+    runs.add_argument(
+        "--profile", action="store_true",
+        help="per-subsystem counters and timers, reported on stderr "
+             "(stdout stays byte-identical)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help=(
-            "worker processes for trial execution (default: the "
-            "REPRO_WORKERS environment variable, else 1 = serial); "
-            "results are identical for any worker count"
-        ),
+    paper = _flags(runs)
+    paper.add_argument(
+        "--trials", type=_count, default=25,
+        help="page loads per configuration (default %(default)s; paper: 100)",
     )
-    parser.add_argument(
-        "--transport", choices=["tcp", "quic"], default=None,
-        help=(
-            "transport layer under TLS/HTTP (default: the REPRO_TRANSPORT "
-            "environment variable, else tcp): `tcp` is the paper's "
-            "single-byte-stream transport whose head-of-line blocking the "
-            "attack exploits; `quic` is a QUIC-like datagram transport "
-            "with independent per-stream loss recovery"
-        ),
+    json_out = _flags()
+    json_out.add_argument("--json", metavar="PATH", dest="json_out",
+                          help="also write the result as JSON to this path")
+    sharded = _flags(json_out)
+    sharded.add_argument(
+        "--sessions", type=int,
+        help="seeded sessions in total (default: campaign 100000, infer 2000)",
     )
-    robustness = parser.add_argument_group(
-        "robustness-study options",
-        "fault-intensity sweep with the fault-tolerant executor",
+    sharded.add_argument(
+        "--shard-size", type=int,
+        help="sessions per shard; peak memory scales with sessions / "
+             "shard size, not with sessions (default: campaign 2000, "
+             "infer 250)",
     )
-    robustness.add_argument(
-        "--quick", action="store_true",
-        help="reduced run for CI: robustness-study sweeps 3 intensity "
-             "levels with 3 trials each; verify runs the conformance "
-             "vectors, a 3-experiment golden subset and one "
-             "determinism-matrix cell",
-    )
-    robustness.add_argument(
-        "--levels", type=str, default=None,
-        help="comma-separated fault intensities in [0, 1] to sweep",
-    )
-    robustness.add_argument(
-        "--checkpoint", type=str, default=None, metavar="PATH",
-        help=(
-            "JSON checkpoint file; completed trials stream into it and a "
-            "re-run with the same file resumes instead of recomputing"
-        ),
-    )
-    robustness.add_argument(
-        "--json", type=str, default=None, metavar="PATH", dest="json_out",
-        help="also write the study/campaign result as JSON to this path "
-             "(robustness-study, campaign and infer)",
-    )
-    robustness.add_argument(
-        "--trial-timeout", type=float, default=None,
-        help="per-trial wall-clock budget in seconds (default 300)",
-    )
-    robustness.add_argument(
-        "--trial-retries", type=int, default=None,
-        help="same-seed retries per crashed/hung/failed trial (default 1)",
-    )
-    campaign = parser.add_argument_group(
-        "campaign options",
-        "population-scale sharded campaign engine (`repro campaign`)",
-    )
-    campaign.add_argument(
-        "--sessions", type=int, default=None,
-        help="total seeded sessions in the campaign "
-             "(default 100000; infer: 2000)",
-    )
-    campaign.add_argument(
-        "--shard-size", type=int, default=None,
-        help="consecutive sessions per shard; peak memory scales with "
-             "sessions/shard-size, not with sessions "
-             "(default 2000; infer: 250)",
-    )
-    campaign.add_argument(
-        "--mode", choices=["analytic", "full"], default=None,
-        help="session engine: closed-form analytic evaluation (fast, "
-             "the default) or the complete packet-level simulation",
-    )
-    campaign.add_argument(
-        "--checkpoint-dir", type=str, default=None, metavar="DIR",
-        help="stream completed shard summaries into a checkpoint here; "
-             "re-running the same campaign (or infer run) resumes "
+    sharded.add_argument(
+        "--checkpoint-dir", metavar="DIR",
+        help="checkpoint completed shards here; a re-run resumes "
              "bit-identically",
     )
+    design = _flags()
+    design.add_argument(
+        "--reps", type=int,
+        help="attacker training fetches per object "
+             "(default: infer-study 3, infer 2)",
+    )
+    design.add_argument(
+        "--defenses", metavar="NAMES",
+        help="comma-separated defense levels, ladder order (default: all)",
+    )
+    design.add_argument(
+        "--classifiers", metavar="NAMES",
+        help="comma-separated classifier names (default: all)",
+    )
+    design.add_argument(
+        "--max-objects", type=int,
+        help="classes per page (default: infer-study 8, infer 6)",
+    )
+
+    def add(name, run, help_text, *parents):
+        parser = commands.add_parser(
+            name, parents=list(parents), help=help_text,
+            description=help_text, allow_abbrev=False,
+        )
+        parser.set_defaults(run=run)
+        return parser
+
+    for name, run, help_text in (
+        ("baseline", _table("baseline"), "E2: baseline multiplexing"),
+        ("table1", _table("table1"), "E3 / Table I: effect of jitter"),
+        ("table2", _table("table2"), "E6 / Table II: end-to-end accuracy"),
+        ("fig1", _run_fig1, "E1 / Figure 1: size estimation vs multiplexing"),
+        ("fig5", _table("fig5"), "E4 / Figure 5: effect of bandwidth"),
+        ("fig6", _table("fig6"), "E5 / Figure 6: targeted drops"),
+        ("delay", _table("delay_ablation"), "E7: uniform delay (negative)"),
+        ("ablations", _run_ablations, "E8: the ablation studies"),
+        ("trigger", _run_trigger, "E9: learned attack triggering"),
+        ("streaming", _table("streaming_study", floor=3, divisor=3),
+         "E10: the attack on streaming video"),
+        ("partialmux", _table("partial_mux"),
+         "E11: partial-multiplexing inference"),
+        ("generalization", _table("generalization", floor=3, divisor=4),
+         "E12: generalization to generated websites"),
+        ("fingerprint", _run_fingerprint, "E13: page fingerprinting"),
+        ("scorecard", _run_scorecard,
+         "headline numbers, paper vs measured (exit 1 if a shape fails)"),
+        ("transport-study", _table("transport_study", floor=2, divisor=8),
+         "E18: the attack over each transport"),
+        ("profile", _run_profile, "hot-path profile of reference slices"),
+    ):
+        add(name, run, help_text, paper)
+    attack = add("attack", _run_attack, "one annotated attacked session",
+                 paper)
+    attack.add_argument("--trial", type=_count, default=0,
+                        help="volunteer index (default %(default)s)")
+    robustness = add("robustness-study", _run_robustness_study,
+                     "E15: attack success vs fault intensity", paper,
+                     json_out)
+    robustness.add_argument(
+        "--quick", action="store_true",
+        help="CI profile: 3 intensity levels, at most 3 trials each",
+    )
+    robustness.add_argument(
+        "--levels", help="comma-separated fault intensities in [0, 1]",
+    )
+    robustness.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="JSON file completed trials stream into; a re-run with it "
+             "resumes instead of recomputing",
+    )
+    robustness.add_argument(
+        "--trial-timeout", type=float, default=300.0,
+        help="per-trial wall-clock budget in seconds (default %(default)s)",
+    )
+    robustness.add_argument(
+        "--trial-retries", type=int, default=1,
+        help="same-seed retries per failed trial (default %(default)s)",
+    )
+    verify = add("verify", _run_verify, "conformance vectors, golden "
+                 "masters and the determinism matrix", transport)
+    verify.add_argument(
+        "--quick", action="store_true",
+        help="CI profile: the vectors, a 3-experiment golden subset and "
+             "one determinism-matrix cell",
+    )
+    verify.add_argument(
+        "--update-golden", action="store_true",
+        help="re-record the golden masters instead of comparing to them",
+    )
+    verify.add_argument(
+        "--only", metavar="NAMES",
+        help="comma-separated golden experiments to check (default: all)",
+    )
+    verify.add_argument(
+        "--fuzz-examples", type=_count, default=200,
+        help="round-trip fuzz examples per suite (default %(default)s)",
+    )
+    campaign = add("campaign", _run_campaign,
+                   "E16: population-scale sharded campaign", runs, sharded)
     campaign.add_argument(
-        "--max-objects", type=int, default=None,
-        help="upper bound of the zipf per-page object count "
-             "(campaign default 96); for infer-study/infer: classes "
-             "per page (defaults 8 / 6)",
+        "--mode", choices=["analytic", "full"],
+        help="session engine: closed-form analytic (default) or the "
+             "packet-level simulation",
     )
     campaign.add_argument(
-        "--count-exponent", type=float, default=None,
+        "--max-objects", type=int,
+        help="upper bound of the zipf per-page object count (default 96)",
+    )
+    campaign.add_argument(
+        "--count-exponent", type=float,
         help="zipf exponent of the page object-count draw (default 0.9)",
     )
     campaign.add_argument(
-        "--size-exponent", type=float, default=None,
+        "--size-exponent", type=float,
         help="rank-size exponent of object sizes (default 1.1)",
     )
     campaign.add_argument(
         "--allow-partial", action="store_true",
-        help="when shards exhaust their retries, return a partial result "
-             "with explicit coverage accounting (exit code 3) instead of "
-             "failing the run",
+        help="when shards exhaust their retries, exit 3 with a partial "
+             "result and its coverage instead of failing",
     )
     campaign.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the whole campaign; shards unfinished "
-             "at expiry are skipped (resumable from the checkpoint later)",
+        "--deadline", type=float, metavar="SECONDS",
+        help="wall-clock budget; shards unfinished at expiry are skipped",
     )
     campaign.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
-        help="hung-shard watchdog: kill and retry a supervised worker "
-             "whose shard has been silent for this long",
+        "--heartbeat-timeout", type=float, metavar="SECONDS",
+        help="kill and retry a worker whose shard is silent this long",
     )
     campaign.add_argument(
-        "--failure-manifest", type=str, default=None, metavar="PATH",
-        help="write a machine-readable JSON failure manifest here on "
-             "every supervised outcome (complete, partial or failed)",
+        "--failure-manifest", metavar="PATH",
+        help="write a JSON failure manifest here on every outcome",
     )
-    infer = parser.add_argument_group(
-        "infer options",
-        "statistical size inference vs defenses "
-        "(`repro infer-study` and `repro infer`)",
-    )
-    infer.add_argument(
-        "--reps", type=int, default=None,
-        help="attacker training fetches per object "
-             "(default: 3 for infer-study, 2 for infer)",
-    )
-    infer.add_argument(
-        "--defenses", type=str, default=None, metavar="NAMES",
-        help="comma-separated defense-level names to sweep, ladder order "
-             "(default: all registered levels)",
-    )
-    infer.add_argument(
-        "--classifiers", type=str, default=None, metavar="NAMES",
-        help="comma-separated classifier registry names to evaluate "
-             "(default: all registered classifiers)",
-    )
-    chaos = parser.add_argument_group(
-        "chaos options",
-        "fault-injection recovery scenarios (`repro chaos`)",
-    )
+    chaos = add("chaos", _run_chaos, "fault-injection recovery scenarios",
+                transport)
+    chaos.add_argument("--quick", action="store_true",
+                       help="run the fast CI subset")
     chaos.add_argument(
-        "--scenario", type=str, default=None, metavar="NAMES",
-        help="comma-separated chaos scenario names to run (default: all; "
-             "--quick runs the fast CI subset)",
+        "--scenario", metavar="NAMES",
+        help="comma-separated scenario names to run (default: all)",
     )
-    verify = parser.add_argument_group(
-        "verify options",
-        "conformance vectors, golden masters and the determinism matrix",
-    )
-    verify.add_argument(
-        "--update-golden", action="store_true",
-        help="regenerate src/repro/conform/golden.json from the current "
-             "tree instead of comparing against it",
-    )
-    verify.add_argument(
-        "--only", type=str, default=None, metavar="NAMES",
-        help="comma-separated golden experiment names to restrict the "
-             "golden/matrix layers to",
-    )
-    verify.add_argument(
-        "--fuzz-examples", type=int, default=200,
-        help="deterministic round-trip fuzz examples per suite "
-             "(default 200)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "collect per-subsystem counters and wall-clock timers while "
-            "the experiment runs; the report goes to stderr, so stdout "
-            "(the experiment table) stays byte-identical"
-        ),
-    )
-    return parser
+    add("infer-study", _run_infer_study,
+        "E19: statistical size inference vs padding defenses",
+        paper, design)
+    add("infer", _run_infer, "E19's frontier at campaign scale",
+        runs, sharded, design)
 
 
-def _validate_args(parser: argparse.ArgumentParser, args) -> None:
-    """Reject incoherent flag/experiment combinations (exit code 2).
-
-    Scoped flags used to be silently ignored outside their experiment —
-    a ``--trial 3`` typo on ``table1`` ran 25 ordinary trials without a
-    word.  Now every scoped flag names the experiment it needs.
-    """
-    if args.trial is not None and args.experiment != "attack":
-        parser.error(
-            f"--trial only applies to the attack experiment "
-            f"(got experiment {args.experiment!r})"
-        )
-    robustness_only = (
-        ("--levels", args.levels is not None),
-        ("--checkpoint", args.checkpoint is not None),
-        ("--trial-timeout", args.trial_timeout is not None),
-        ("--trial-retries", args.trial_retries is not None),
-    )
-    for flag, given in robustness_only:
-        if given and args.experiment != "robustness-study":
-            parser.error(
-                f"{flag} only applies to the robustness-study experiment "
-                f"(got experiment {args.experiment!r})"
-            )
-    if args.json_out is not None and args.experiment not in (
-        "robustness-study", "campaign", "infer"
-    ):
-        parser.error(
-            f"--json only applies to robustness-study, campaign and infer "
-            f"(got experiment {args.experiment!r})"
-        )
-    sharded = (
-        ("--sessions", args.sessions is not None),
-        ("--shard-size", args.shard_size is not None),
-        ("--checkpoint-dir", args.checkpoint_dir is not None),
-    )
-    for flag, given in sharded:
-        if given and args.experiment not in ("campaign", "infer"):
-            parser.error(
-                f"{flag} only applies to campaign and infer "
-                f"(got experiment {args.experiment!r})"
-            )
-    if args.max_objects is not None and args.experiment not in (
-        "campaign", "infer", "infer-study"
-    ):
-        parser.error(
-            f"--max-objects only applies to campaign, infer and "
-            f"infer-study (got experiment {args.experiment!r})"
-        )
-    campaign_only = (
-        ("--mode", args.mode is not None),
-        ("--count-exponent", args.count_exponent is not None),
-        ("--size-exponent", args.size_exponent is not None),
-        ("--allow-partial", args.allow_partial),
-        ("--deadline", args.deadline is not None),
-        ("--heartbeat-timeout", args.heartbeat_timeout is not None),
-        ("--failure-manifest", args.failure_manifest is not None),
-    )
-    for flag, given in campaign_only:
-        if given and args.experiment != "campaign":
-            parser.error(
-                f"{flag} only applies to the campaign experiment "
-                f"(got experiment {args.experiment!r})"
-            )
-    infer_only = (
-        ("--reps", args.reps is not None),
-        ("--defenses", args.defenses is not None),
-        ("--classifiers", args.classifiers is not None),
-    )
-    for flag, given in infer_only:
-        if given and args.experiment not in ("infer-study", "infer"):
-            parser.error(
-                f"{flag} only applies to infer-study and infer "
-                f"(got experiment {args.experiment!r})"
-            )
-    if args.scenario is not None and args.experiment != "chaos":
-        parser.error(
-            f"--scenario only applies to chaos "
-            f"(got experiment {args.experiment!r})"
-        )
-    if args.quick and args.experiment not in (
-        "robustness-study", "verify", "chaos"
-    ):
-        parser.error(
-            f"--quick only applies to robustness-study, verify and chaos "
-            f"(got experiment {args.experiment!r})"
-        )
-    verify_only = (
-        ("--update-golden", args.update_golden),
-        ("--only", args.only is not None),
-    )
-    for flag, given in verify_only:
-        if given and args.experiment != "verify":
-            parser.error(
-                f"{flag} only applies to verify "
-                f"(got experiment {args.experiment!r})"
-            )
+def _fail(error) -> int:
+    """Report a bad argument found after parsing; exit code 2."""
+    print(f"repro: {error}", file=sys.stderr)
+    return 2
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate_args(parser, args)
-
-    if args.transport is not None:
-        # Export the choice so spawned campaign workers, experiment
-        # subprocesses and env-resolving constructors all inherit it.
-        from repro.transport import TRANSPORT_ENV
-
-        os.environ[TRANSPORT_ENV] = args.transport
-
-    if args.experiment == "verify":
-        return _run_verify(args)
-    if args.experiment == "chaos":
-        return _run_chaos(args)
-
-    from repro.experiments.executor import resolve_workers
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as error:
-        parser.error(str(error))
-
-    profiler = None
-    if args.profile and args.experiment != "profile":
-        from repro import profiling
-        if workers > 1:
-            print(
-                "repro: note: --profile with --workers > 1 only observes "
-                "the parent process; use the serial executor for full "
-                "coverage",
-                file=sys.stderr,
-            )
-        profiler = profiling.activate()
-    try:
-        return _run_experiment(args, parser, workers)
-    finally:
-        # Every exit path, early returns included, renders the report
-        # and leaves no profiler active in the calling process.
-        if profiler is not None:
-            for name, amount in profiling.hpack_cache_counters().items():
-                profiler.counters[name] = amount
-            profiling.deactivate()
-            print(profiler.render(), file=sys.stderr)
+def _given(**flags) -> dict:
+    """The flags given on the command line; the config holds the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
-def _run_experiment(args, parser, workers) -> int:
-    """Run one experiment command; returns the exit code."""
-    if args.experiment == "baseline":
-        from repro.experiments import baseline
-        print(baseline.run(trials=args.trials, seed=args.seed,
-                           workers=args.workers).render())
-    elif args.experiment == "table1":
-        from repro.experiments import table1
-        print(table1.run(trials=args.trials, seed=args.seed,
-                         workers=args.workers).render())
-    elif args.experiment == "table2":
-        from repro.experiments import table2
-        print(table2.run(trials=args.trials, seed=args.seed,
-                         workers=args.workers).render())
-    elif args.experiment == "fig1":
-        from repro.experiments import fig1
-        print(fig1.run(seed=args.seed).render())
-    elif args.experiment == "fig5":
-        from repro.experiments import fig5
-        print(fig5.run(trials=args.trials, seed=args.seed,
-                       workers=args.workers).render())
-    elif args.experiment == "fig6":
-        from repro.experiments import fig6
-        print(fig6.run(trials=args.trials, seed=args.seed,
-                       workers=args.workers).render())
-    elif args.experiment == "delay":
-        from repro.experiments import delay_ablation
-        print(delay_ablation.run(trials=args.trials, seed=args.seed,
-                                 workers=args.workers).render())
-    elif args.experiment == "ablations":
-        from repro.experiments import ablations
-        small = max(4, args.trials // 3)
-        studies = [
-            ablations.run_quirk,
-            ablations.run_actuator,
-            ablations.run_scheduler,
-            ablations.run_defense,
-            ablations.run_h1_baseline,
-            ablations.run_push_defense,
-            ablations.run_success_accounting,
-            ablations.run_tcp_variants,
-        ]
-        for index, study in enumerate(studies):
-            if index:
-                print()
-            print(study(trials=small, seed=args.seed,
-                        workers=args.workers).render())
-    elif args.experiment == "trigger":
-        from repro.experiments import trigger_study
-        print(trigger_study.run(
-            trials=args.trials, training_trials=max(8, args.trials),
-            seed=args.seed, workers=args.workers,
-        ).render())
-    elif args.experiment == "streaming":
-        from repro.experiments import streaming_study
-        print(streaming_study.run(
-            trials=max(3, args.trials // 3), seed=args.seed,
+def _names(text: Optional[str]) -> Optional[Tuple[str, ...]]:
+    """A comma-separated name list, or None when the flag is unset."""
+    if not text:
+        return None
+    return tuple(name for name in text.split(",") if name)
+
+
+def _write_json(path: str, payload) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _table(module: str, floor: int = 0, divisor: int = 1):
+    """Runner printing ``repro.experiments.<module>.run(...)``'s table,
+    run with ``max(floor, trials // divisor)`` trials."""
+
+    def run(args) -> int:
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        print(experiment.run(
+            trials=max(floor, args.trials // divisor), seed=args.seed,
             workers=args.workers,
         ).render())
-    elif args.experiment == "partialmux":
-        from repro.experiments import partial_mux
-        print(partial_mux.run(trials=args.trials, seed=args.seed,
-                              workers=args.workers).render())
-    elif args.experiment == "generalization":
-        from repro.experiments import generalization
-        print(generalization.run(
-            trials=max(3, args.trials // 4), seed=args.seed,
-            workers=args.workers,
-        ).render())
-    elif args.experiment == "fingerprint":
-        from repro.experiments import fingerprint_study
-        print(fingerprint_study.run(seed=args.seed,
-                                    workers=args.workers).render())
-    elif args.experiment == "scorecard":
-        from repro.experiments import scorecard
-        card = scorecard.run(trials=args.trials, seed=args.seed,
-                             workers=args.workers)
-        print(card.render())
-        return 0 if card.all_shapes_hold else 1
-    elif args.experiment == "transport-study":
-        from repro.experiments import transport_study
-        print(transport_study.run(
-            trials=max(2, args.trials // 8), seed=args.seed,
-            workers=args.workers,
-        ).render())
-    elif args.experiment == "infer-study":
-        from repro.experiments import infer_study
-        try:
-            design = _infer_design(args)
-        except ValueError as error:
-            parser.error(str(error))
-        print(infer_study.run(
-            trials=args.trials, workers=args.workers, design=design,
-        ).render())
-    elif args.experiment == "infer":
-        return _run_campaign(args, _infer_config)
-    elif args.experiment == "robustness-study":
-        return _run_robustness_study(args, workers)
-    elif args.experiment == "campaign":
-        return _run_campaign(args, _campaign_config)
-    elif args.experiment == "profile":
-        from repro.experiments.hotpath import profile_reference
-        _, report = profile_reference(seed=args.seed)
-        print(report)
-    elif args.experiment == "attack":
-        _run_attack(args.trial if args.trial is not None else 0, args.seed)
+        return 0
+
+    return run
+
+
+def _run_fig1(args) -> int:
+    from repro.experiments import fig1
+    print(fig1.run(seed=args.seed).render())
     return 0
 
 
-def _run_verify(args) -> int:
-    """``repro verify``: conformance + golden masters + determinism."""
-    from repro.conform import run_verify
-
-    only = None
-    if args.only:
-        only = [name for name in args.only.split(",") if name]
-    try:
-        report = run_verify(
-            quick=args.quick,
-            only=only,
-            update_golden=args.update_golden,
-            fuzz_examples=args.fuzz_examples,
-        )
-    except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return report.exit_code
+def _run_ablations(args) -> int:
+    from repro.experiments import ablations
+    studies = [
+        ablations.run_quirk, ablations.run_actuator, ablations.run_scheduler,
+        ablations.run_defense, ablations.run_h1_baseline,
+        ablations.run_push_defense, ablations.run_success_accounting,
+        ablations.run_tcp_variants,
+    ]
+    for index, study in enumerate(studies):
+        if index:
+            print()
+        print(study(trials=max(4, args.trials // 3), seed=args.seed,
+                    workers=args.workers).render())
+    return 0
 
 
-def _run_robustness_study(args, workers) -> int:
+def _run_trigger(args) -> int:
+    from repro.experiments import trigger_study
+    print(trigger_study.run(
+        trials=args.trials, training_trials=max(8, args.trials),
+        seed=args.seed, workers=args.workers,
+    ).render())
+    return 0
+
+
+def _run_fingerprint(args) -> int:
+    from repro.experiments import fingerprint_study
+    print(fingerprint_study.run(seed=args.seed,
+                                workers=args.workers).render())
+    return 0
+
+
+def _run_scorecard(args) -> int:
+    from repro.experiments import scorecard
+    card = scorecard.run(trials=args.trials, seed=args.seed,
+                         workers=args.workers)
+    print(card.render())
+    return 0 if card.all_shapes_hold else 1
+
+
+def _run_profile(args) -> int:
+    from repro.experiments.hotpath import profile_reference
+    print(profile_reference(seed=args.seed)[1])
+    return 0
+
+
+def _run_attack(args) -> int:
+    """One annotated attacked session (the quickstart, inline)."""
+    from repro import AdversaryConfig, TrialConfig, VolunteerWorkload, run_trial
+    from repro.web.isidewith import HTML_OBJECT_ID
+
+    trial = args.trial
+    workload = VolunteerWorkload(seed=args.seed)
+    outcome = run_trial(trial, workload, TrialConfig(adversary=AdversaryConfig()))
+    analysis = outcome.analyze()
+    print(f"session #{trial}: completed={outcome.completed} "
+          f"duration={outcome.duration:.1f}s "
+          f"resets={outcome.browser.resets_sent}")
+    html = analysis.single_object[HTML_OBJECT_ID]
+    print(f"HTML: identified={html.identified} degree0={html.degree_zero} "
+          f"success={html.success}")
+    predicted = [p.replace('emblem-', '') for p in analysis.sequence_prediction]
+    truth = [p.replace('emblem-', '') for p in analysis.sequence_truth]
+    print(f"predicted order: {predicted}")
+    print(f"true order     : {truth}")
+    correct = sum(1 for a, b in zip(predicted, truth) if a == b)
+    print(f"{correct}/8 positions correct")
+    return 0
+
+
+def _run_robustness_study(args) -> int:
     """The fault-intensity sweep (see repro.experiments.robustness_study)."""
-    import json as json_module
-
     from repro.experiments import robustness_study
     from repro.experiments.executor import FaultTolerance
 
@@ -524,92 +438,117 @@ def _run_robustness_study(args, workers) -> int:
                 float(level) for level in args.levels.split(",") if level
             )
         except ValueError:
-            print(f"repro: bad --levels value {args.levels!r}",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"bad --levels value {args.levels!r}")
     elif args.quick:
         intensities = robustness_study.QUICK_INTENSITIES
     else:
         intensities = robustness_study.INTENSITIES
-    trials = min(args.trials, 3) if args.quick else args.trials
-    fault_tolerance = FaultTolerance(
-        timeout=args.trial_timeout if args.trial_timeout is not None else 300.0,
-        retries=args.trial_retries if args.trial_retries is not None else 1,
-        checkpoint_path=args.checkpoint,
-    )
-    result = robustness_study.run(
-        trials=trials,
-        seed=args.seed,
-        intensities=intensities,
-        workers=workers,
-        fault_tolerance=fault_tolerance,
-    )
+    try:
+        fault_tolerance = FaultTolerance(
+            timeout=args.trial_timeout,
+            retries=args.trial_retries,
+            checkpoint_path=args.checkpoint,
+        )
+        result = robustness_study.run(
+            trials=min(args.trials, 3) if args.quick else args.trials,
+            seed=args.seed,
+            intensities=intensities,
+            workers=args.workers,
+            fault_tolerance=fault_tolerance,
+        )
+    except ValueError as error:
+        return _fail(error)
     print(result.render())
     if not result.monotone_story:
         print("repro: warning: sweep is not monotone (success rose with "
               "fault intensity)", file=sys.stderr)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json_out, result.to_json())
+    return 0
+
+
+def _infer_design(args) -> dict:
+    """The E19 design flags given (the config class holds the rest)."""
+    return _given(
+        reps=args.reps,
+        max_objects=args.max_objects,
+        levels=_names(args.defenses),
+        classifiers=_names(args.classifiers),
+    )
+
+
+def _run_infer_study(args) -> int:
+    from repro.experiments import infer_study
+    from repro.infer.dataset import StudyDesign
+
+    try:
+        design = StudyDesign(seed=args.seed, **_infer_design(args))
+    except ValueError as error:
+        return _fail(error)
+    print(infer_study.run(
+        trials=args.trials, workers=args.workers, design=design,
+    ).render())
     return 0
 
 
 def _campaign_config(args):
-    """``repro campaign``'s config from CLI flags (may raise ValueError)."""
-    import dataclasses
-
-    from repro.campaign import AnalyticModel, CampaignConfig
+    """``repro campaign``'s config from its flags (may raise ValueError)."""
+    from repro.campaign import CampaignConfig
     from repro.transport import resolve_transport
     from repro.web.workload import PopulationConfig
 
-    population_overrides = {}
-    if args.max_objects is not None:
-        population_overrides["max_objects"] = args.max_objects
-    if args.count_exponent is not None:
-        population_overrides["count_exponent"] = args.count_exponent
-    if args.size_exponent is not None:
-        population_overrides["size_exponent"] = args.size_exponent
-    population = dataclasses.replace(
-        PopulationConfig(), **population_overrides
-    )
+    population = PopulationConfig(**_given(
+        max_objects=args.max_objects,
+        count_exponent=args.count_exponent,
+        size_exponent=args.size_exponent,
+    ))
     return CampaignConfig(
-        sessions=args.sessions if args.sessions is not None else 100_000,
-        shard_size=args.shard_size if args.shard_size is not None else 2_000,
         seed=args.seed,
-        mode=args.mode or "analytic",
         population=population,
-        model=AnalyticModel(),
         transport=resolve_transport(args.transport),
+        **_given(sessions=args.sessions, shard_size=args.shard_size,
+                 mode=args.mode),
     )
 
 
 def _infer_config(args):
-    """``repro infer``'s config from CLI flags (may raise ValueError)."""
+    """``repro infer``'s config from its flags (may raise ValueError)."""
     from repro.infer.campaign import InferCampaignConfig
 
     return InferCampaignConfig(
-        sessions=args.sessions if args.sessions is not None else 2_000,
-        shard_size=args.shard_size if args.shard_size is not None else 250,
         seed=args.seed,
-        **_infer_overrides(args),
+        **_given(sessions=args.sessions, shard_size=args.shard_size),
+        **_infer_design(args),
     )
 
 
-def _run_campaign(args, build_config) -> int:
+def _run_campaign(args) -> int:
+    return _run_sharded(
+        args, _campaign_config,
+        allow_partial=args.allow_partial,
+        deadline=args.deadline,
+        heartbeat_timeout=args.heartbeat_timeout,
+        failure_manifest=args.failure_manifest,
+    )
+
+
+def _run_infer(args) -> int:
+    return _run_sharded(args, _infer_config)
+
+
+def _run_sharded(args, build_config, **supervision) -> int:
     """``repro campaign`` and ``repro infer``: one sharded run.
 
-    ``build_config`` turns the flags into the command's config.  Stdout
-    (the report) and ``--json`` output are deterministic — seeded
-    sessions, integer folds, canonical merge order — so they diff clean
-    across worker counts and kill/resume.  Wall-clock throughput, resume
+    ``build_config`` turns the flags into the command's config, and
+    ``supervision`` holds campaign's supervisor flags.  Stdout (the
+    report) and ``--json`` output are deterministic — seeded sessions,
+    integer folds, canonical merge order — so they diff clean across
+    worker counts and kill/resume.  Wall-clock throughput, resume
     history and peak memory go to stderr only.
 
     Exit codes: 0 full coverage, 1 failed (per-shard error table on
     stderr), 2 bad arguments, 3 partial coverage (``--allow-partial``).
     """
-    import json as json_module
     import time
 
     from repro import profiling
@@ -618,37 +557,29 @@ def _run_campaign(args, build_config) -> int:
     try:
         config = build_config(args)
     except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     start = time.perf_counter()
     try:
         result = run_campaign(
             config,
             workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
-            allow_partial=args.allow_partial,
-            deadline=args.deadline,
-            heartbeat_timeout=args.heartbeat_timeout,
-            failure_manifest=args.failure_manifest,
+            **supervision,
         )
     except CampaignError as error:
         print(render_shard_errors(config, error.errors), file=sys.stderr)
         print(f"repro: {error}", file=sys.stderr)
         return 1
     except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     elapsed = time.perf_counter() - start
     print(result.render())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_json(), handle, indent=2,
-                             sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json_out, result.to_json())
     sessions = result.sessions_covered
     rate = sessions / elapsed if elapsed > 0 else 0.0
     print(
-        f"repro {args.experiment}: {sessions} sessions in "
+        f"repro {args.command}: {sessions} sessions in "
         f"{elapsed:.1f}s ({rate:,.0f}/s), {result.shards} shards, "
         f"{result.workers} worker(s), "
         f"{result.resumed_shards} shard(s) resumed, peak RSS "
@@ -670,71 +601,37 @@ def _run_campaign(args, build_config) -> int:
     return 0
 
 
-def _infer_overrides(args) -> dict:
-    """Shared --reps/--defenses/--classifiers/--max-objects parsing."""
-    overrides = {}
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.max_objects is not None:
-        overrides["max_objects"] = args.max_objects
-    if args.defenses:
-        overrides["levels"] = tuple(
-            name for name in args.defenses.split(",") if name
+def _run_verify(args) -> int:
+    """``repro verify``: conformance + golden masters + determinism."""
+    from repro.conform import run_verify
+
+    try:
+        report = run_verify(
+            quick=args.quick,
+            only=_names(args.only),
+            update_golden=args.update_golden,
+            fuzz_examples=args.fuzz_examples,
         )
-    if args.classifiers:
-        overrides["classifiers"] = tuple(
-            name for name in args.classifiers.split(",") if name
-        )
-    return overrides
-
-
-def _infer_design(args):
-    """Build the E19 study design from CLI flags (may raise ValueError)."""
-    from repro.infer.dataset import StudyDesign
-
-    return StudyDesign(seed=args.seed, **_infer_overrides(args))
+    except ValueError as error:
+        return _fail(error)
+    print(report.render())
+    return report.exit_code
 
 
 def _run_chaos(args) -> int:
     """``repro chaos``: run the fault-injection recovery scenarios."""
     from repro.chaos import SCENARIOS, render_results, run_scenarios
 
-    names = None
-    if args.scenario:
-        names = [name for name in args.scenario.split(",") if name]
-        unknown = [name for name in names if name not in SCENARIOS]
-        if unknown:
-            print(
-                f"repro: unknown chaos scenario(s) {unknown}; "
-                f"available: {', '.join(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
+    names = _names(args.scenario)
+    unknown = [name for name in names or () if name not in SCENARIOS]
+    if unknown:
+        return _fail(
+            f"unknown chaos scenario(s) {unknown}; "
+            f"available: {', '.join(SCENARIOS)}"
+        )
     results = run_scenarios(names=names, quick=args.quick)
     print(render_results(results))
     return 0 if all(result.passed for result in results) else 1
-
-
-def _run_attack(trial: int, seed: int) -> None:
-    """One annotated attacked session (the quickstart, inline)."""
-    from repro import AdversaryConfig, TrialConfig, VolunteerWorkload, run_trial
-    from repro.web.isidewith import HTML_OBJECT_ID
-
-    workload = VolunteerWorkload(seed=seed)
-    outcome = run_trial(trial, workload, TrialConfig(adversary=AdversaryConfig()))
-    analysis = outcome.analyze()
-    print(f"session #{trial}: completed={outcome.completed} "
-          f"duration={outcome.duration:.1f}s "
-          f"resets={outcome.browser.resets_sent}")
-    html = analysis.single_object[HTML_OBJECT_ID]
-    print(f"HTML: identified={html.identified} degree0={html.degree_zero} "
-          f"success={html.success}")
-    predicted = [p.replace('emblem-', '') for p in analysis.sequence_prediction]
-    truth = [p.replace('emblem-', '') for p in analysis.sequence_truth]
-    print(f"predicted order: {predicted}")
-    print(f"true order     : {truth}")
-    correct = sum(1 for a, b in zip(predicted, truth) if a == b)
-    print(f"{correct}/8 positions correct")
 
 
 if __name__ == "__main__":

@@ -319,7 +319,14 @@ def run(
             with a generous timeout.  The checkpoint (when configured)
             is shared across the whole sweep — trial indices are offset
             per level so every (level, trial) pair is distinct.
+
+    Raises:
+        ValueError: before any trial runs, when an intensity lies
+            outside [0, 1] (NaN included).
     """
+    outside = [level for level in intensities if not 0.0 <= level <= 1.0]
+    if outside:
+        raise ValueError(f"fault intensities must be in [0, 1], got {outside}")
     executor = TrialExecutor(workers=workers)
     if fault_tolerance is None:
         fault_tolerance = FaultTolerance(timeout=300.0, retries=1)

@@ -109,6 +109,11 @@ class Link:
                 f"link {name!r}: loss_rate={config.loss_rate} requires an "
                 "rng — without one the link would silently never drop"
             )
+        if config.jitter > 0 and rng is None:
+            raise ValueError(
+                f"link {name!r}: jitter={config.jitter} requires an "
+                "rng — without one the link would silently never jitter"
+            )
         if faults and rng is None:
             raise ValueError(
                 f"link {name!r}: a FaultSchedule requires an rng"
@@ -143,9 +148,7 @@ class Link:
         )
         self._jitter = config.jitter
         self._jitter_stream = (
-            rng.stream(f"{name}.jitter")
-            if config.jitter > 0 and rng is not None
-            else None
+            rng.stream(f"{name}.jitter") if config.jitter > 0 else None
         )
 
     def _transmit(self, packet: Packet, from_index: int) -> None:

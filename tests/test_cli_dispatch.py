@@ -1,19 +1,28 @@
-"""CLI dispatch health: flag validation and per-experiment smoke runs.
+"""CLI dispatch health: the per-command grammar and smoke runs.
 
-Two layers:
+Three layers:
 
-* every incoherent flag/experiment combination must be rejected up
-  front with argparse's exit code 2 and a message naming the flag —
-  scoped flags used to be silently ignored outside their experiment;
-* every experiment choice must dispatch, exit 0 and print something at
-  the smallest profile (``--trials 1 --workers 1``).  Heavy choices
+* every flag outside its command's parser must be rejected up front
+  with argparse's exit code 2 and a message naming the flag and the
+  command — scoped flags used to be silently ignored elsewhere;
+* every argv the repository itself runs (the golden masters, the
+  determinism matrix, CI) must parse, and every ``--help`` must render;
+* every command must dispatch, exit 0 and print something at the
+  smallest profile (``--trials 1 --workers 1``).  Heavy choices
   (multi-study sweeps, the verify harness) carry the ``slow`` marker
   and run in the nightly job.
 """
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro import cli
+from repro.conform.golden import EXPERIMENTS
+
+CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
 
 BAD_COMBOS = [
     (["table1", "--trial", "3"], "--trial"),
@@ -46,6 +55,13 @@ BAD_COMBOS = [
     (["verify", "--classifiers", "exact"], "--classifiers"),
     (["infer-study", "--sessions", "5"], "--sessions"),
     (["infer-study", "--json", "out.json"], "--json"),
+    (["baseline", "--fuzz-examples", "5"], "--fuzz-examples"),
+    (["verify", "--profile"], "--profile"),
+    (["verify", "--workers", "2"], "--workers"),
+    (["chaos", "--seed", "3"], "--seed"),
+    (["campaign", "--trials", "3"], "--trials"),
+    (["infer", "--trials", "3"], "--trials"),
+    (["campaign", "--sess", "10"], "--sess"),  # no abbreviations
 ]
 
 
@@ -56,25 +72,38 @@ def test_incoherent_flag_combo_exits_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert flag in err
-    assert argv[0] in err  # the message names the offending experiment
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    # The command's own parser reports it, so the message names it.
+    assert f"repro {argv[0]}: error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--trials", "-2"],
+    ["attack", "--trial", "-1"],
+    ["verify", "--fuzz-examples", "-3", "--only", "fig1"],
+    ["fig1", "--trials", "many"],
+], ids=" ".join)
+def test_bad_count_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"repro {argv[0]}: error: argument {argv[1]}" in captured.err
+    assert captured.out == ""
 
 
 def test_coherent_scoped_flags_pass_validation():
-    parser = cli._build_parser()
-    args = parser.parse_args(
+    parse = cli.parse_args  # must not raise / exit
+    parse(
         ["robustness-study", "--quick", "--levels", "0.2,0.5",
          "--checkpoint", "ck.json", "--trial-timeout", "10",
          "--trial-retries", "2", "--json", "out.json"]
     )
-    cli._validate_args(parser, args)  # must not raise / exit
-    args = parser.parse_args(["attack", "--trial", "3"])
-    cli._validate_args(parser, args)
-    args = parser.parse_args(["verify", "--quick", "--only", "fig1",
-                              "--update-golden"])
-    cli._validate_args(parser, args)
-    args = parser.parse_args(
+    parse(["attack", "--trial", "3"])
+    parse(["verify", "--quick", "--only", "fig1", "--update-golden"])
+    parse(
         ["campaign", "--sessions", "1000", "--shard-size", "100",
          "--mode", "analytic", "--checkpoint-dir", "ck",
          "--max-objects", "48", "--count-exponent", "0.8",
@@ -82,21 +111,82 @@ def test_coherent_scoped_flags_pass_validation():
          "--allow-partial", "--deadline", "60",
          "--heartbeat-timeout", "30", "--failure-manifest", "m.json"]
     )
-    cli._validate_args(parser, args)
-    args = parser.parse_args(["chaos", "--quick",
-                              "--scenario", "deadline-expiry"])
-    cli._validate_args(parser, args)
-    args = parser.parse_args(
+    parse(["chaos", "--quick", "--scenario", "deadline-expiry"])
+    parse(
         ["infer-study", "--trials", "2", "--reps", "2",
          "--defenses", "off,pad256", "--classifiers", "exact,centroid",
          "--max-objects", "4"]
     )
-    cli._validate_args(parser, args)
-    args = parser.parse_args(
+    parse(
         ["infer", "--sessions", "10", "--shard-size", "5",
          "--checkpoint-dir", "ck", "--reps", "2", "--json", "out.json"]
     )
-    cli._validate_args(parser, args)
+
+
+def _ci_argvs():
+    """The argv of every ``python -m repro ...`` or ``repro ...`` line in
+    CI (``repro --help`` is left to :func:`test_help_renders`)."""
+    argvs = []
+    for line in CI_WORKFLOW.read_text(encoding="utf-8").splitlines():
+        match = (re.search(r"python -m repro (.*)", line)
+                 or re.match(r"\s*repro (.*)", line))
+        if match and match[1] != "--help":
+            # Stop at the first shell redirection or pipe.
+            argvs.append(shlex.split(re.split(r"\s(?:\d?>|\|)", match[1])[0]))
+    return argvs
+
+
+REPO_ARGVS = (
+    list(EXPERIMENTS.values())
+    + [argv + ["--workers", "4"] for argv in EXPERIMENTS.values()]
+    + [EXPERIMENTS["robustness-study"] + ["--checkpoint", "ck.json"]]
+    + _ci_argvs()
+)
+
+
+@pytest.mark.parametrize("argv", REPO_ARGVS, ids=" ".join)
+def test_every_argv_the_repo_runs_parses(argv):
+    args = cli.parse_args(argv)
+    assert args.command == argv[0]
+
+
+def test_ci_argvs_were_found():
+    commands = {argv[0] for argv in _ci_argvs()}
+    assert {"fig1", "table1", "campaign", "verify", "chaos", "infer",
+            "infer-study", "attack", "scorecard"} <= commands
+
+
+COMMANDS = [
+    "baseline", "table1", "table2", "fig1", "fig5", "fig6", "delay",
+    "ablations", "attack", "trigger", "streaming", "partialmux",
+    "generalization", "fingerprint", "scorecard", "transport-study",
+    "profile", "robustness-study", "verify", "campaign", "chaos",
+    "infer-study", "infer",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_takes_abbreviated_flags(capsys, command):
+    # Every command takes --transport; none may read "--transp" as it.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.parse_args([command, "--transp", "tcp"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --transp tcp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [None] + COMMANDS)
+def test_help_renders(capsys, command):
+    # A stray "%" in a help string breaks only its command's --help.
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    if command is None:
+        for name in COMMANDS:
+            assert name in out
+    else:
+        assert f"usage: repro {command}" in out
 
 
 def _smoke(capsys, argv):
@@ -206,10 +296,7 @@ def test_infer_unknown_defense_exits_2(capsys):
         "study-empty", "study-repeated-classifier"])
 def test_infer_repeated_or_empty_axes_exit_2(capsys, argv):
     # Rejected before any session runs: nothing reaches stdout.
-    try:
-        code = cli.main(argv)
-    except SystemExit as exit_:  # parser.error in infer-study
-        code = exit_.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert "repro: " in captured.err
@@ -221,6 +308,23 @@ def test_robustness_study_smoke(capsys):
                                 "--trials", "1", "--workers", "1"])
     assert code == 0
     assert out.strip()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--levels", "1.5"],
+    ["--levels", "nan"],
+    ["--levels", "0.2,-0.5"],
+    ["--levels", "high"],
+    ["--trial-timeout", "-5"],
+    ["--trial-retries", "-1"],
+], ids=" ".join)
+def test_robustness_study_bad_values_exit_2_before_any_trial(capsys, flags):
+    code = cli.main(["robustness-study", "--trials", "1", "--workers", "1"]
+                    + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("repro: ")
+    assert captured.out == ""
 
 
 def test_campaign_smoke(capsys, tmp_path):

@@ -74,15 +74,12 @@ def test_link_loss_drops_packets(sim):
     assert 40 < len(sink.received) < 160  # ≈100 expected
 
 
-def test_link_jitter_requires_rng_else_disabled(sim):
-    link = Link(sim, LinkConfig(jitter=0.01), rng=None)
-    sink = _Sink()
-    link.b.attach(sink)
-    link.a.send(_packet())
-    sim.run()
-    assert sim.now == pytest.approx(
-        LinkConfig().propagation_delay + 40 * 8 / LinkConfig().bandwidth_bps
-    )
+def test_link_jitter_requires_rng(sim):
+    # Without an rng the link could never jitter, so the config is
+    # rejected instead of silently meaning nothing.
+    with pytest.raises(ValueError, match="jitter=0.01 requires an rng"):
+        Link(sim, LinkConfig(jitter=0.01), rng=None)
+    Link(sim, LinkConfig(jitter=0.01), rng=RandomStreams(1))
 
 
 def test_link_fifo_preserved_without_reordering(sim):

@@ -46,6 +46,12 @@ def test_noise_schedule_scales_with_intensity():
     assert burstiness(severe) > burstiness(mild)
 
 
+@pytest.mark.parametrize("level", [1.5, -0.5, float("nan")])
+def test_run_rejects_intensity_outside_unit_interval(level):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        run(trials=1, intensities=(0.0, level), workers=1)
+
+
 def test_sweep_constants():
     assert INTENSITIES[0] == 0.0 and INTENSITIES[-1] == 1.0
     assert set(QUICK_INTENSITIES) <= set(INTENSITIES)
