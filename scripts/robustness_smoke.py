@@ -7,7 +7,11 @@ A. A clean ``repro robustness-study --quick`` reference run.
 B. The same run with a checkpoint, during which one spawn *worker*
    process is SIGKILLed mid-trial — the supervised executor must retry
    the lost trial with the same seed and finish with output identical
-   to the reference.
+   to the reference.  The kill waits for no fixed time: once the
+   checkpoint holds a completed trial (the pool is past its start-up),
+   the first spawn worker seen running (``R`` in ``/proc/<pid>/stat``;
+   an idle worker sleeps on its pipe) on two polls 10 ms apart is
+   killed.
 C. The same run again, during which the *whole study* is SIGKILLed once
    the checkpoint holds completed trials — the resumed run must skip
    them and still produce output identical to the reference.
@@ -79,13 +83,38 @@ def _cmdline(pid):
         return ""
 
 
-def _find_spawn_worker(pid):
-    """A spawn-context worker child of ``pid`` (not the resource tracker)."""
+def _is_running(pid):
+    """Whether ``pid`` is on a CPU or waiting for one (state ``R``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state follows the parenthesized command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] == "R"
+    except (OSError, IndexError):
+        return False
+
+
+def _find_busy_spawn_worker(pid):
+    """A running spawn-context worker child of ``pid`` (not the resource
+    tracker): one that holds a trial, since an idle worker sleeps on its
+    pipe."""
     for child in _children(pid):
         cmdline = _cmdline(child)
-        if "spawn_main" in cmdline and "resource_tracker" not in cmdline:
+        if (
+            "spawn_main" in cmdline
+            and "resource_tracker" not in cmdline
+            and _is_running(child)
+        ):
             return child
     return None
+
+
+def _checkpointed(path):
+    """Completed trials in the checkpoint at ``path`` (0 while absent or
+    mid-replace)."""
+    try:
+        return len(_load(path).get("results", {}))
+    except (ValueError, OSError):
+        return 0
 
 
 def _load(path):
@@ -110,20 +139,22 @@ def phase_b(workdir, reference, timeout):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     killed = None
+    busy_before = None
     deadline = time.monotonic() + timeout
     while process.poll() is None and time.monotonic() < deadline:
-        if killed is None:
-            worker = _find_spawn_worker(process.pid)
-            if worker is not None:
-                # Give the worker a moment to be genuinely mid-trial.
-                time.sleep(1.0)
+        if killed is None and _checkpointed(checkpoint) >= 1:
+            worker = _find_busy_spawn_worker(process.pid)
+            # Busy on two polls in a row: inside a trial, not in the
+            # instant between sending one result and waiting for more.
+            if worker is not None and worker == busy_before:
                 try:
                     os.kill(worker, signal.SIGKILL)
                     killed = worker
-                    print(f"killed worker pid {worker}", flush=True)
+                    print(f"killed busy worker pid {worker}", flush=True)
                 except ProcessLookupError:
                     pass  # finished first; catch the next one
-        time.sleep(0.1)
+            busy_before = worker
+        time.sleep(0.01)
     try:
         stdout, _ = process.communicate(timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
@@ -154,16 +185,10 @@ def phase_c(workdir, reference, timeout):
     completed_before_kill = 0
     deadline = time.monotonic() + timeout
     while process.poll() is None and time.monotonic() < deadline:
-        if os.path.exists(checkpoint):
-            try:
-                completed_before_kill = len(
-                    _load(checkpoint).get("results", {})
-                )
-            except (ValueError, OSError):
-                completed_before_kill = 0  # mid-replace; retry
-            if completed_before_kill >= 2:
-                process.send_signal(signal.SIGKILL)
-                break
+        completed_before_kill = _checkpointed(checkpoint)
+        if completed_before_kill >= 2:
+            process.send_signal(signal.SIGKILL)
+            break
         time.sleep(0.1)
     process.wait(timeout=30)
     if completed_before_kill < 2:

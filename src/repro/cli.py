@@ -321,11 +321,18 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _names(text: Optional[str]) -> Optional[Tuple[str, ...]]:
-    """A comma-separated name list, or None when the flag is unset."""
+def _names(flag: str, text: Optional[str]) -> Optional[Tuple[str, ...]]:
+    """A comma-separated name list, or None when the flag is unset.
+
+    Raises:
+        ValueError: when the list names nothing (``--flag ,``).
+    """
     if not text:
         return None
-    return tuple(name for name in text.split(",") if name)
+    names = tuple(name for name in text.split(",") if name)
+    if not names:
+        raise ValueError(f"{flag} {text!r} names nothing")
+    return names
 
 
 def _write_json(path: str, payload) -> None:
@@ -472,8 +479,8 @@ def _infer_design(args) -> dict:
     return _given(
         reps=args.reps,
         max_objects=args.max_objects,
-        levels=_names(args.defenses),
-        classifiers=_names(args.classifiers),
+        levels=_names("--defenses", args.defenses),
+        classifiers=_names("--classifiers", args.classifiers),
     )
 
 
@@ -608,7 +615,7 @@ def _run_verify(args) -> int:
     try:
         report = run_verify(
             quick=args.quick,
-            only=_names(args.only),
+            only=_names("--only", args.only),
             update_golden=args.update_golden,
             fuzz_examples=args.fuzz_examples,
         )
@@ -622,7 +629,10 @@ def _run_chaos(args) -> int:
     """``repro chaos``: run the fault-injection recovery scenarios."""
     from repro.chaos import SCENARIOS, render_results, run_scenarios
 
-    names = _names(args.scenario)
+    try:
+        names = _names("--scenario", args.scenario)
+    except ValueError as error:
+        return _fail(error)
     unknown = [name for name in names or () if name not in SCENARIOS]
     if unknown:
         return _fail(

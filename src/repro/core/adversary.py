@@ -27,6 +27,15 @@ from repro.core.controller import NetworkController
 from repro.simkernel.trace import TraceLog
 from repro.simkernel.units import MBPS
 
+#: Trace field names, one tuple per row shape; ``_record`` puts
+#: ``phase`` in front of them.
+_JITTER_KEYS = ("jitter",)
+_TRIGGERED_KEYS = ("get_index",)
+_RETRY_SCHEDULED_KEYS = ("attempt", "backoff")
+_RETRY_KEYS = ("attempt",)
+_ABORTED_KEYS = ("retries",)
+_PHASE_KEYS = ("phase",)
+
 
 class AttackPhase(enum.Enum):
     IDLE = "idle"
@@ -158,7 +167,7 @@ class Adversary:
                 self.config.trigger_get_index, self._on_trigger
             )
         self.phase = AttackPhase.SPACING
-        self._record("attack.armed", jitter=self.config.initial_jitter)
+        self._record("attack.armed", _JITTER_KEYS, (self.config.initial_jitter,))
 
     def _on_trigger(self, now: float) -> None:
         """Phase 2: the N-th GET just passed — throttle and drop."""
@@ -176,8 +185,7 @@ class Adversary:
         else:
             self._escalate()
         self._record(
-            "attack.triggered",
-            get_index=self.config.trigger_get_index,
+            "attack.triggered", _TRIGGERED_KEYS, (self.config.trigger_get_index,)
         )
 
     def _on_drops_done(self) -> None:
@@ -199,8 +207,8 @@ class Adversary:
         self.retries_used += 1
         self._record(
             "attack.retry_scheduled",
-            attempt=self.retries_used,
-            backoff=backoff,
+            _RETRY_SCHEDULED_KEYS,
+            (self.retries_used, backoff),
         )
         self.sim.schedule(backoff, self._retry_drops)
 
@@ -235,7 +243,7 @@ class Adversary:
         now = self.sim.now
         self.attempt_started = now
         self.controller.start_drops(self.config.drop_duration)
-        self._record("attack.retry", attempt=self.retries_used)
+        self._record("attack.retry", _RETRY_KEYS, (self.retries_used,))
         self.sim.schedule(self.config.drop_duration, self._on_drops_done)
 
     def _abort(self) -> None:
@@ -244,14 +252,14 @@ class Adversary:
         self.abort_time = self.sim.now
         if self.controller.drop_filter is not None:
             self.controller.drop_filter.deactivate()
-        self._record("attack.aborted", retries=self.retries_used)
+        self._record("attack.aborted", _ABORTED_KEYS, (self.retries_used,))
 
     def _escalate(self) -> None:
         if self.config.enable_escalation:
             self._apply_jitter(self.config.escalated_jitter)
             self.escalation_time = self.sim.now
             self._record(
-                "attack.escalated", jitter=self.config.escalated_jitter
+                "attack.escalated", _JITTER_KEYS, (self.config.escalated_jitter,)
             )
         self.phase = AttackPhase.ESCALATED
 
@@ -265,9 +273,14 @@ class Adversary:
                 amount, noise_fraction=self.config.spacing_noise
             )
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, phase=self.phase.value, **fields)
+            self._trace.record(
+                self.sim.now,
+                category,
+                _PHASE_KEYS + keys,
+                (self.phase.value,) + values,
+            )
 
     def __repr__(self) -> str:
         return f"Adversary({self.phase.value})"

@@ -42,6 +42,12 @@ GET_PAYLOAD_THRESHOLD = 44
 #: browser signature that precedes every request.
 PREFACE_FLIGHT_BYTES = 120
 
+#: Trace field names, one tuple per row shape.
+_JITTER_KEYS = ("mean",)
+_SPACING_KEYS = ("spacing",)
+_BANDWIDTH_KEYS = ("rate",)
+_DROPS_ON_KEYS = ("duration", "rate")
+
 
 def is_get_like(packet: Packet, threshold: int = GET_PAYLOAD_THRESHOLD) -> bool:
     """Live GET detection from on-path-visible fields only."""
@@ -333,7 +339,7 @@ class NetworkController:
             )
         else:
             self.jitter_filter.set_mean(mean_delay)
-        self._record("adversary.jitter", mean=mean_delay)
+        self._record("adversary.jitter", _JITTER_KEYS, (mean_delay,))
         return self.jitter_filter
 
     def install_spacing(
@@ -353,14 +359,14 @@ class NetworkController:
             )
         else:
             self.spacing_filter.set_spacing(spacing)
-        self._record("adversary.spacing", spacing=spacing)
+        self._record("adversary.spacing", _SPACING_KEYS, (spacing,))
         return self.spacing_filter
 
     def limit_bandwidth(self, bits_per_second: Optional[float],
                         burst_bytes: int = 32 * 1024) -> None:
         """Throttle both directions (None lifts the limit)."""
         self.middlebox.set_bandwidth_limit(bits_per_second, burst_bytes)
-        self._record("adversary.bandwidth", rate=bits_per_second)
+        self._record("adversary.bandwidth", _BANDWIDTH_KEYS, (bits_per_second,))
 
     def install_drops(self, drop_rate: float) -> TargetedDropFilter:
         """Install the targeted s→c drop filter (inactive)."""
@@ -380,8 +386,8 @@ class NetworkController:
         self.drop_filter.activate(self.sim.now, duration)
         self._record(
             "adversary.drops_on",
-            duration=duration,
-            rate=self.drop_filter.drop_rate,
+            _DROPS_ON_KEYS,
+            (duration, self.drop_filter.drop_rate),
         )
 
     def install_uniform_delay(
@@ -400,6 +406,6 @@ class NetworkController:
         """Register a live trigger on the n-th forwarded GET."""
         self.get_counter.at(n, callback)
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, **fields)
+            self._trace.record(self.sim.now, category, keys, values)

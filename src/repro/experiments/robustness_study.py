@@ -321,9 +321,11 @@ def run(
             per level so every (level, trial) pair is distinct.
 
     Raises:
-        ValueError: before any trial runs, when an intensity lies
-            outside [0, 1] (NaN included).
+        ValueError: before any trial runs, when no intensity is given
+            or one lies outside [0, 1] (NaN included).
     """
+    if not intensities:
+        raise ValueError("no fault intensity to sweep")
     outside = [level for level in intensities if not 0.0 <= level <= 1.0]
     if outside:
         raise ValueError(f"fault intensities must be in [0, 1], got {outside}")

@@ -27,6 +27,10 @@ from repro.transport import get_transport
 #: Connection-level receive window a browser grants the server.
 BROWSER_CONNECTION_WINDOW = 12 * 1024 * 1024
 
+#: Trace field names, one tuple per row shape.
+_STREAM_PATH_KEYS = ("stream", "path")
+_RESPONSE_DONE_KEYS = ("stream", "path", "bytes")
+
 
 @dataclass
 class ResponseHandle:
@@ -155,7 +159,7 @@ class H2Client:
             priority_weight=priority_weight,
             priority_depends_on=priority_depends_on,
         )
-        self._record("h2.get", stream=stream_id, path=path)
+        self._record("h2.get", _STREAM_PATH_KEYS, (stream_id, path))
         return handle
 
     def cancel(
@@ -228,7 +232,9 @@ class H2Client:
             pushed=True,
         )
         self.handles[promised_stream_id] = handle
-        self._record("h2.push_accepted", stream=promised_stream_id, path=path)
+        self._record(
+            "h2.push_accepted", _STREAM_PATH_KEYS, (promised_stream_id, path)
+        )
 
     def _on_rst(self, stream_id: int, code: H2ErrorCode) -> None:
         handle = self.handles.get(stream_id)
@@ -240,16 +246,15 @@ class H2Client:
         handle.completed_at = self.sim.now
         self._record(
             "h2.response_done",
-            stream=handle.stream_id,
-            path=handle.path,
-            bytes=handle.received_bytes,
+            _RESPONSE_DONE_KEYS,
+            (handle.stream_id, handle.path, handle.received_bytes),
         )
         if handle.on_complete:
             handle.on_complete(handle)
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, **fields)
+            self._trace.record(self.sim.now, category, keys, values)
 
     def __repr__(self) -> str:
         done = sum(1 for handle in self.handles.values() if handle.complete)

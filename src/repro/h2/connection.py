@@ -49,6 +49,15 @@ CONNECTION_PREFACE_BYTES = 24
 #: Default initial connection-level flow-control window (RFC 7540 §6.9.2).
 DEFAULT_CONNECTION_WINDOW = 65535
 
+#: Trace field names, one tuple per row shape.  The per-frame rows are
+#: written directly, ``conn`` first; ``_record`` puts ``conn`` in front
+#: of the others.
+_FRAME_SENT_KEYS = ("conn", "frame_type", "stream", "wire")
+_FRAME_RECEIVED_KEYS = ("conn", "frame_type", "stream", "duplicate")
+_RST_SENT_KEYS = ("stream", "code")
+_RST_RECEIVED_KEYS = ("stream", "code", "flushed_frames")
+_CONN_KEYS = ("conn",)
+
 
 class H2Role(enum.Enum):
     CLIENT = "client"
@@ -277,7 +286,7 @@ class H2Connection:
         if stream is not None:
             stream.reset(code)
         self._write_control(RstStreamFrame(stream_id=stream_id, error_code=code))
-        self._record("h2.rst_stream.sent", stream=stream_id, code=int(code))
+        self._record("h2.rst_stream.sent", _RST_SENT_KEYS, (stream_id, int(code)))
 
     def send_priority(
         self, stream_id: int, depends_on: int = 0, weight: int = 16,
@@ -396,13 +405,16 @@ class H2Connection:
 
     def _write(self, frame: Frame) -> None:
         self.frames_sent += 1
-        self._record(
-            "h2.frame.sent",
-            frame_type=frame.type_name,
-            stream=frame.stream_id,
-            wire=frame.wire_length,
-        )
-        self._session.send_application(frame, frame.wire_length)
+        wire_length = frame.wire_length
+        trace = self._trace
+        if trace is not None:
+            trace.record(
+                self.sim.now,
+                "h2.frame.sent",
+                _FRAME_SENT_KEYS,
+                (self.name, frame.type_name, frame.stream_id, wire_length),
+            )
+        self._session.send_application(frame, wire_length)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -414,12 +426,14 @@ class H2Connection:
         if not isinstance(payload, Frame):
             raise TypeError(f"unexpected TLS payload: {payload!r}")
         self.frames_received += 1
-        self._record(
-            "h2.frame.received",
-            frame_type=payload.type_name,
-            stream=payload.stream_id,
-            duplicate=duplicate,
-        )
+        trace = self._trace
+        if trace is not None:
+            trace.record(
+                self.sim.now,
+                "h2.frame.received",
+                _FRAME_RECEIVED_KEYS,
+                (self.name, payload.type_name, payload.stream_id, duplicate),
+            )
         handler = self._frame_handlers.get(type(payload))
         if handler is not None:
             handler(payload, duplicate)
@@ -533,9 +547,8 @@ class H2Connection:
             stream.reset(frame.error_code)
         self._record(
             "h2.rst_stream.received",
-            stream=frame.stream_id,
-            code=int(frame.error_code),
-            flushed_frames=flushed,
+            _RST_RECEIVED_KEYS,
+            (frame.stream_id, int(frame.error_code), flushed),
         )
         if self.on_rst_stream:
             self.on_rst_stream(frame.stream_id, frame.error_code)
@@ -589,9 +602,11 @@ class H2Connection:
                 frame.stream_id, frame.promised_stream_id, frame.headers
             )
 
-    def _record(self, category: str, **fields: Any) -> None:
+    def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, conn=self.name, **fields)
+            self._trace.record(
+                self.sim.now, category, _CONN_KEYS + keys, (self.name,) + values
+            )
 
     def __repr__(self) -> str:
         return (

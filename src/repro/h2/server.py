@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.h2.connection import H2Connection, H2Role
 from repro.h2.errors import H2ErrorCode
@@ -37,6 +37,12 @@ from repro.transport import get_transport
 from repro.transport.base import Transport
 
 _instance_ids = itertools.count(1)
+
+#: Trace field names, one tuple per row shape.
+_REQUEST_KEYS = ("stream", "path", "duplicate")
+_PUSH_KEYS = ("parent", "promised", "path")
+_RESPONSE_COMPLETE_KEYS = ("stream", "object", "duplicate")
+_SERVER_RST_KEYS = ("stream", "code")
 
 
 @dataclass
@@ -207,10 +213,7 @@ class _ServedConnection:
             self._respond_error(stream_id, 404)
             return
         self.server._record(
-            "h2.request",
-            stream=stream_id,
-            path=path,
-            duplicate=duplicate,
+            "h2.request", _REQUEST_KEYS, (stream_id, path, duplicate)
         )
         instance = ResponseInstance(
             instance_id=next(_instance_ids),
@@ -258,8 +261,7 @@ class _ServedConnection:
             instance.stream_id = promised_id
             self.instances.append(instance)
             self.server._record(
-                "h2.push", parent=parent_stream_id, promised=promised_id,
-                path=pushed_path,
+                "h2.push", _PUSH_KEYS, (parent_stream_id, promised_id, pushed_path)
             )
             self.server.sim.schedule(
                 self.server.draw_think_time(resource),
@@ -313,9 +315,8 @@ class _ServedConnection:
             instance.finished_at = self.server.sim.now
             self.server._record(
                 "h2.response_complete",
-                stream=instance.stream_id,
-                object=instance.object_id,
-                duplicate=instance.duplicate,
+                _RESPONSE_COMPLETE_KEYS,
+                (instance.stream_id, instance.object_id, instance.duplicate),
             )
             self._emit_chaff()
             if instance is self._active_instance:
@@ -360,7 +361,7 @@ class _ServedConnection:
             and self._active_instance.cancelled
         ):
             self._advance_pipeline()
-        self.server._record("h2.server_rst", stream=stream_id, code=int(code))
+        self.server._record("h2.server_rst", _SERVER_RST_KEYS, (stream_id, int(code)))
 
 
 class H2Server:
@@ -438,9 +439,9 @@ class H2Server:
             for instance in connection.instances
         ]
 
-    def _record(self, category: str, **fields: Any) -> None:
+    def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, **fields)
+            self._trace.record(self.sim.now, category, keys, values)
 
     def __repr__(self) -> str:
         return f"H2Server(port={self.listener.port}, conns={len(self.connections)})"

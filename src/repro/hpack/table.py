@@ -109,7 +109,21 @@ _STATIC_NAME_INDEX = _first_indices(entry.name for entry in STATIC_TABLE)
 
 
 class DynamicTable:
-    """The HPACK dynamic table: FIFO eviction, size-bounded."""
+    """The HPACK dynamic table: FIFO eviction, size-bounded, indexed.
+
+    Entries sit in a deque, newest first.  Each insert takes the next
+    insertion stamp (0, 1, 2, …).  Eviction removes the oldest entry
+    and an oversize insert empties the table, so the live entries carry
+    consecutive stamps and the entry stamped ``stamp`` has HPACK index
+    ``len(STATIC_TABLE) + inserted − stamp``, where ``inserted`` counts
+    every insert so far (the newest entry is index 62).
+
+    Two dicts map each ``(name, value)`` and each name to the newest
+    live stamp carrying it, so :meth:`lookup` answers with two dict
+    probes instead of a scan.  An evicted entry leaves a dict only when
+    it holds that key's newest stamp; otherwise a newer entry still
+    carries the key.
+    """
 
     def __init__(self, max_size: int = 4096) -> None:
         if max_size < 0:
@@ -117,6 +131,11 @@ class DynamicTable:
         self._entries: Deque[HeaderField] = deque()
         self._size = 0
         self._max_size = max_size
+        self._inserted = 0
+        #: (name, value) → newest live stamp of that exact field.
+        self._field_stamps: Dict[Tuple[str, str], int] = {}
+        #: name → newest live stamp carrying that name.
+        self._name_stamps: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -143,18 +162,33 @@ class DynamicTable:
         An entry larger than the whole table empties the table and is
         itself not inserted (RFC 7541 §4.4).
         """
-        if field.table_size > self._max_size:
+        table_size = field.table_size
+        if table_size > self._max_size:
             self._entries.clear()
+            self._field_stamps.clear()
+            self._name_stamps.clear()
             self._size = 0
             return
+        stamp = self._inserted
+        self._inserted = stamp + 1
         self._entries.appendleft(field)
-        self._size += field.table_size
+        self._field_stamps[(field.name, field.value)] = stamp
+        self._name_stamps[field.name] = stamp
+        self._size += table_size
         self._evict()
 
     def _evict(self) -> None:
+        entries = self._entries
         while self._size > self._max_size:
-            evicted = self._entries.pop()
+            # The oldest live entry carries the lowest live stamp.
+            stamp = self._inserted - len(entries)
+            evicted = entries.pop()
             self._size -= evicted.table_size
+            key = (evicted.name, evicted.value)
+            if self._field_stamps[key] == stamp:
+                del self._field_stamps[key]
+            if self._name_stamps[evicted.name] == stamp:
+                del self._name_stamps[evicted.name]
 
     def lookup(self, field: HeaderField) -> Tuple[Optional[int], Optional[int]]:
         """Find ``field`` across static + dynamic tables.
@@ -162,19 +196,26 @@ class DynamicTable:
         Returns:
             ``(full_index, name_index)``: the 1-based index of an exact
             name+value match (or None), and the index of a name-only
-            match (or None).  Dynamic indices start at 62.
+            match (or None).  Dynamic indices start at 62.  An exact
+            static match wins, then the newest exact dynamic match
+            (returned as both indices); without one, the name index is
+            the first static entry with the name, else the newest
+            dynamic one.
         """
-        full_index = _STATIC_FULL_INDEX.get((field.name, field.value))
+        name = field.name
+        key = (name, field.value)
+        full_index = _STATIC_FULL_INDEX.get(key)
         if full_index is not None:
             return full_index, full_index
-        name_index = _STATIC_NAME_INDEX.get(field.name)
-        offset = len(STATIC_TABLE) + 1
-        for index, entry in enumerate(self._entries):
-            if entry.name == field.name:
-                if entry.value == field.value:
-                    return offset + index, offset + index
-                if name_index is None:
-                    name_index = offset + index
+        stamp = self._field_stamps.get(key)
+        if stamp is not None:
+            full_index = len(STATIC_TABLE) + self._inserted - stamp
+            return full_index, full_index
+        name_index = _STATIC_NAME_INDEX.get(name)
+        if name_index is None:
+            stamp = self._name_stamps.get(name)
+            if stamp is not None:
+                name_index = len(STATIC_TABLE) + self._inserted - stamp
         return None, name_index
 
     def entry_at(self, index: int) -> HeaderField:

@@ -11,7 +11,7 @@ from these records, like the paper's
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.netsim.packet import Packet
 
@@ -87,23 +87,52 @@ class PacketRecord(NamedTuple):
         packet: Packet,
         dropped: bool = False,
     ) -> "PacketRecord":
-        """Build a record from a live packet (headers only)."""
+        """Build a record from a live packet (headers only).
+
+        A segment's flags are an interned ``frozenset``; each one is
+        sorted once and the tuple reused.  Most packets start no TLS
+        record, so their content-type and length tuples are the empty
+        tuple without a pass over the records.
+        """
         segment = packet.segment
-        flags = getattr(segment, "flags", None)
-        records = getattr(segment, "tls_records", None) or ()
+        if segment is None:
+            return cls(
+                time, direction, packet.packet_id, packet.wire_size,
+                packet.payload_bytes, (), 0, 0, (), (), dropped,
+            )
+        flags = segment.flags
+        sorted_flags = _SORTED_FLAGS.get(flags)
+        if sorted_flags is None:
+            sorted_flags = _SORTED_FLAGS[flags] = tuple(sorted(flags))
+        records = segment.tls_records
+        if records:
+            # A message that is not a TLS record (a bare test payload)
+            # shows type 0 and length 0.
+            content_types = tuple(
+                [int(getattr(rec, "content_type", 0)) for rec in records]
+            )
+            lengths = tuple(
+                [int(getattr(rec, "wire_length", 0)) for rec in records]
+            )
+        else:
+            content_types = lengths = ()
         return cls(
             time,
             direction,
             packet.packet_id,
             packet.wire_size,
             packet.payload_bytes,
-            tuple(sorted(flags)) if flags else (),
-            int(getattr(segment, "seq", 0)),
-            int(getattr(segment, "ack", 0)),
-            tuple([int(getattr(rec, "content_type", 0)) for rec in records]),
-            tuple([int(getattr(rec, "wire_length", 0)) for rec in records]),
+            sorted_flags,
+            segment.seq,
+            segment.ack,
+            content_types,
+            lengths,
             dropped,
         )
+
+
+#: Flag set → its sorted tuple (the interned TCP and QUIC flag sets).
+_SORTED_FLAGS: Dict[FrozenSet[str], Tuple[str, ...]] = {}
 
 
 class CaptureLog:

@@ -21,6 +21,13 @@ from repro.simkernel.simulator import Simulator
 from repro.simkernel.trace import TraceLog
 from repro.simkernel.units import MBPS
 
+#: Trace field names every link row starts with (see ``Link._record``),
+#: and the names of the extra fields some rows add.
+_PACKET_KEYS = ("link", "direction", "packet_id", "size")
+_SEND_KEYS = _PACKET_KEYS + ("arrival",)
+_FAULT_KEYS = ("fault",)
+_DUP_KEYS = ("arrival",)
+
 
 @dataclass
 class LinkConfig:
@@ -66,7 +73,7 @@ class LinkEnd:
 
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` toward the opposite end."""
-        self._link._transmit(packet, from_index=self._index)
+        self._link._transmit(packet, self._index)
 
     @property
     def link(self) -> "Link":
@@ -165,7 +172,8 @@ class Link:
                 direction.dropped += 1
                 direction.fault_dropped += 1
                 self._record(
-                    "link.drop.fault", packet, from_index, fault=effect.reason
+                    "link.drop.fault", packet, from_index,
+                    _FAULT_KEYS, (effect.reason,),
                 )
                 return
             if not effect.any:
@@ -225,17 +233,17 @@ class Link:
                 direction.last_arrival = dup_arrival
             direction.duplicated += 1
             self._sim.schedule_at(dup_arrival, deliver)
-            self._record("link.dup", packet, from_index, arrival=dup_arrival)
+            self._record(
+                "link.dup", packet, from_index, _DUP_KEYS, (dup_arrival,)
+            )
         trace = self._trace
         if trace is not None:
             trace.record(
                 now,
                 "link.send",
-                link=self.name,
-                direction=from_index,
-                packet_id=packet.packet_id,
-                size=packet.wire_size,
-                arrival=arrival,
+                _SEND_KEYS,
+                (self.name, from_index, packet.packet_id, packet.wire_size,
+                 arrival),
             )
 
     def _deliver(self, end: LinkEnd, packet: Packet) -> None:
@@ -245,16 +253,21 @@ class Link:
             )
         end.handler.on_packet(packet)
 
-    def _record(self, category: str, packet: Packet, from_index: int, **extra) -> None:
+    def _record(
+        self,
+        category: str,
+        packet: Packet,
+        from_index: int,
+        keys: tuple = (),
+        values: tuple = (),
+    ) -> None:
         if self._trace is not None:
             self._trace.record(
                 self._sim.now,
                 category,
-                link=self.name,
-                direction=from_index,
-                packet_id=packet.packet_id,
-                size=packet.wire_size,
-                **extra,
+                _PACKET_KEYS + keys,
+                (self.name, from_index, packet.packet_id, packet.wire_size)
+                + values,
             )
 
     def stats(self, from_index: int) -> dict:

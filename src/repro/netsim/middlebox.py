@@ -71,6 +71,12 @@ class Verdict:
 _FORWARD = Verdict(PacketAction.FORWARD)
 _DROP = Verdict(PacketAction.DROP)
 
+#: Trace field names every middlebox row starts with (see ``_record``),
+#: and the names of the extra fields some rows add.
+_PACKET_KEYS = ("middlebox", "direction", "packet_id", "size")
+_FAULT_KEYS = ("fault",)
+_DELAY_KEYS = ("delay",)
+
 
 class PacketFilter(Protocol):
     """Adversary-installed per-packet decision logic."""
@@ -207,7 +213,7 @@ class Middlebox:
                 self.fault_dropped += 1
                 self._record(
                     "middlebox.drop.fault", packet, direction,
-                    fault=fault.reason,
+                    _FAULT_KEYS, (fault.reason,),
                 )
                 return
             if not fault.any:
@@ -245,7 +251,8 @@ class Middlebox:
             self._record("middlebox.dup", packet, direction)
         if release_delay > 0:
             self._record(
-                "middlebox.delay", packet, direction, delay=release_delay
+                "middlebox.delay", packet, direction,
+                _DELAY_KEYS, (release_delay,),
             )
 
     def _evaluate_filters(
@@ -271,16 +278,21 @@ class Middlebox:
         self.forwarded += 1
         egress.send(packet)
 
-    def _record(self, category: str, packet: Packet, direction: Direction, **extra) -> None:
+    def _record(
+        self,
+        category: str,
+        packet: Packet,
+        direction: Direction,
+        keys: tuple = (),
+        values: tuple = (),
+    ) -> None:
         if self._trace is not None:
             self._trace.record(
                 self._sim.now,
                 category,
-                middlebox=self.name,
-                direction=direction.value,
-                packet_id=packet.packet_id,
-                size=packet.wire_size,
-                **extra,
+                _PACKET_KEYS + keys,
+                (self.name, direction.value, packet.packet_id, packet.wire_size)
+                + values,
             )
 
     def __repr__(self) -> str:

@@ -10,6 +10,9 @@ from repro.netsim.packet import Packet
 from repro.simkernel.simulator import Simulator
 from repro.simkernel.trace import TraceLog
 
+#: Trace field names of the ``host.unrouted`` row.
+_UNROUTED_KEYS = ("host", "dst")
+
 
 class PacketHandler(Protocol):
     """Anything that can receive a packet from a link end."""
@@ -85,8 +88,8 @@ class Host:
                 self._trace.record(
                     self._sim.now,
                     "host.unrouted",
-                    host=self.name,
-                    dst=str(packet.dst),
+                    _UNROUTED_KEYS,
+                    (self.name, str(packet.dst)),
                 )
             return
         receiver(packet)

@@ -9,7 +9,6 @@ layer; the TCP module defines its structure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.netsim.address import Endpoint
@@ -23,43 +22,57 @@ TCP_HEADER_BYTES = 20
 _packet_ids = itertools.count(1)
 
 
-@dataclass
 class Packet:
     """One IP packet carrying a transport segment.
+
+    A slotted class with one plain ``__init__``: every packet a trial
+    sends is built here, so construction does no dataclass machinery.
+    Packets compare by identity.
 
     Attributes:
         src: source endpoint.
         dst: destination endpoint.
-        segment: the transport payload (a ``repro.tcp.TCPSegment``).
+        segment: the transport payload (a ``repro.tcp.TCPSegment`` or a
+            QUIC datagram, both of which carry ``payload_bytes`` and
+            ``option_bytes``), or None for a bare packet.
         packet_id: unique id, assigned automatically.
         created_at: simulated time the packet was created (set by sender).
+        payload_bytes: transport payload length in bytes (0 for bare
+            ACKs).  Sizes are fixed at creation (the segment never
+            changes after the packet is built): every hop, queue and
+            capture point reads them.
+        header_bytes: IP + TCP header overhead, including TCP option
+            bytes.
+        wire_size: total bytes this packet occupies on the wire.
     """
 
-    src: Endpoint
-    dst: Endpoint
-    segment: Any
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    created_at: float = 0.0
-    #: Transport payload length in bytes (0 for bare ACKs).  Sizes are
-    #: fixed at creation (the segment never changes after the packet is
-    #: built) and cached: every hop, queue and capture point reads them.
-    payload_bytes: int = field(init=False)
-    #: IP + TCP header overhead, including TCP option bytes.
-    header_bytes: int = field(init=False)
-    #: Total bytes this packet occupies on the wire.
-    wire_size: int = field(init=False)
+    __slots__ = (
+        "src", "dst", "segment", "packet_id", "created_at",
+        "payload_bytes", "header_bytes", "wire_size",
+    )
 
-    def __post_init__(self) -> None:
-        segment = self.segment
+    def __init__(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        segment: Any,
+        packet_id: Optional[int] = None,
+        created_at: float = 0.0,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.segment = segment
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.created_at = created_at
         if segment is None:
             payload = 0
-            options = 0
+            header = IP_HEADER_BYTES + TCP_HEADER_BYTES
         else:
-            payload = int(getattr(segment, "payload_bytes", 0))
-            options = int(getattr(segment, "option_bytes", 0))
+            payload = segment.payload_bytes
+            header = IP_HEADER_BYTES + TCP_HEADER_BYTES + segment.option_bytes
         self.payload_bytes = payload
-        self.header_bytes = IP_HEADER_BYTES + TCP_HEADER_BYTES + options
-        self.wire_size = self.header_bytes + payload
+        self.header_bytes = header
+        self.wire_size = header + payload
 
     def __repr__(self) -> str:
         return (

@@ -1,19 +1,22 @@
 """Structured trace log.
 
 Components append records (a timestamp, a category string such as
-``"tcp.retransmit"`` or ``"h2.rst_stream"``, and a dict of fields).
+``"tcp.retransmit"`` or ``"h2.rst_stream"``, and named fields).
 The experiment harness filters and counts records to compute the
 paper's metrics — e.g. Table I's "increase in number of
 retransmissions" is a count of ``tcp.retransmit`` records.
 
 The log is built for a hot append path and a cold query path:
 
-* :meth:`TraceLog.record` stores a plain ``(time, category, fields)``
-  tuple — no record object, no string formatting.  Tens of thousands
+* :meth:`TraceLog.record` stores a plain ``(time, category, keys,
+  values)`` tuple — no record object, no field dict, no string
+  formatting.  ``keys`` is a module-level tuple of field names kept
+  next to each emitter, so a row costs one tuple of values.  Thousands
   of records are appended per trial; almost none are ever looked at.
 * :class:`TraceRecord` objects are materialized lazily, only for the
   records a query (:meth:`TraceLog.select`, iteration, indexing)
-  actually touches, and cached so repeated queries return the same
+  actually touches, with their ``fields`` dict zipped from the names
+  and values then, and cached so repeated queries return the same
   objects.
 * Human-readable lines (:meth:`TraceRecord.render`,
   :meth:`TraceLog.render_lines`) are formatted only when a report or
@@ -28,7 +31,7 @@ later query extends it over the records appended since.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 def format_record(time: float, category: str, fields: Dict[str, Any]) -> str:
@@ -44,7 +47,11 @@ def format_record(time: float, category: str, fields: Dict[str, Any]) -> str:
 
 
 class TraceRecord:
-    """One structured log entry (materialized lazily by the log)."""
+    """One structured log entry, materialized lazily by the log.
+
+    ``fields`` maps each field name to its value, in the order the
+    emitter listed the names.
+    """
 
     __slots__ = ("time", "category", "fields")
 
@@ -85,15 +92,16 @@ class TraceRecord:
 class TraceLog:
     """An append-only, filterable event log shared by a testbed.
 
-    :meth:`record` appends one tuple and does nothing else; the
-    per-category index the queries use is brought up to date by the
-    queries themselves (:meth:`_indexed`), so a trial that records tens
-    of thousands of rows and queries a few categories pays for the index
-    once, at its first query.
+    :meth:`record` appends one ``(time, category, keys, values)`` tuple
+    and does nothing else; the per-category index the queries use is
+    brought up to date by the queries themselves (:meth:`_indexed`), so
+    a trial that records thousands of rows and queries a few categories
+    pays for the index once, at its first query.
     """
 
     def __init__(self, enabled: bool = True) -> None:
-        #: Raw rows: ``(time, category, fields)`` tuples, append order.
+        #: Raw rows: ``(time, category, keys, values)`` tuples, append
+        #: order.
         self._raw: List[tuple] = []
         #: index → materialized record, filled lazily by :meth:`_get`.
         self._cache: Dict[int, TraceRecord] = {}
@@ -117,10 +125,21 @@ class TraceLog:
             raise IndexError("trace record index out of range")
         return self._get(index)
 
-    def record(self, time: float, category: str, **fields: Any) -> None:
-        """Append one record (a no-op when the log is disabled)."""
+    def record(
+        self,
+        time: float,
+        category: str,
+        keys: Tuple[str, ...] = (),
+        values: Tuple[Any, ...] = (),
+    ) -> None:
+        """Append one record (a no-op when the log is disabled).
+
+        ``keys`` names the fields and ``values`` holds them, position by
+        position; the record's ``fields`` is ``dict(zip(keys, values))``.
+        Emitters pass a module-level ``keys`` tuple per row shape.
+        """
         if self.enabled:
-            self._raw.append((time, category, fields))
+            self._raw.append((time, category, keys, values))
 
     def _indexed(self) -> Dict[str, List[int]]:
         """The per-category index, extended over the rows appended since
@@ -141,8 +160,8 @@ class TraceLog:
         """Materialize (and cache) the record at ``index``."""
         record = self._cache.get(index)
         if record is None:
-            time, category, fields = self._raw[index]
-            record = TraceRecord(time, category, fields)
+            time, category, keys, values = self._raw[index]
+            record = TraceRecord(time, category, dict(zip(keys, values)))
             self._cache[index] = record
         return record
 

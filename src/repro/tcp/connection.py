@@ -47,6 +47,16 @@ from repro.tcp.segment import (
 )
 from repro.transport.stream import StreamLayout
 
+#: Trace field names, one tuple per row shape; ``_record`` puts
+#: ``conn`` in front of them.
+_ROLE_KEYS = ("role",)
+_KIND_KEYS = ("kind",)
+_FAST_RETRANSMIT_KEYS = ("kind", "seq", "length")
+_RTO_RETRANSMIT_KEYS = ("kind", "seq", "length", "rto")
+_DUPLICATE_DELIVERY_KEYS = ("seq", "length")
+_CLOSED_KEYS = ("reset",)
+_CONN_KEYS = ("conn",)
+
 
 class TCPState(enum.Enum):
     """Connection states (RFC 793 names)."""
@@ -225,34 +235,35 @@ class TCPConnection:
         segment: TCPSegment = packet.segment
         if segment is None:
             return
-        if segment.has(RST):
+        flags = segment.flags
+        if RST in flags:
             self._record("tcp.rst_received")
             self._teardown(reset=True)
             return
 
         if self.state is TCPState.SYN_SENT:
-            if segment.has(SYN) and segment.has(ACK):
+            if SYN in flags and ACK in flags:
                 self._retransmit_timer.cancel()
                 if self.rto.backoff == 1:
                     # Karn: only sample when the SYN was not retransmitted.
                     self.rto.on_sample(self._sim.now - self._syn_time)
                 self.state = TCPState.ESTABLISHED
                 self._send_ack_now()
-                self._record("tcp.established", role="client")
+                self._record("tcp.established", _ROLE_KEYS, ("client",))
                 if self.on_established:
                     self.on_established()
                 self._try_send()
             return
 
         if self.state is TCPState.SYN_RCVD:
-            if segment.has(ACK) and not segment.has(SYN):
+            if ACK in flags and SYN not in flags:
                 self._retransmit_timer.cancel()
                 self.state = TCPState.ESTABLISHED
-                self._record("tcp.established", role="server")
+                self._record("tcp.established", _ROLE_KEYS, ("server",))
                 if self.on_established:
                     self.on_established()
                 # Fall through: the ACK may carry data.
-            elif segment.has(SYN):
+            elif SYN in flags:
                 # Duplicate SYN: re-answer.
                 self._emit(FLAGS_SYN_ACK)
                 return
@@ -260,11 +271,11 @@ class TCPConnection:
         if self.state is TCPState.CLOSED:
             return
 
-        if segment.has(ACK):
+        if ACK in flags:
             self._handle_ack(segment)
         if segment.payload_bytes > 0:
             self._handle_data(segment)
-        if segment.has(FIN):
+        if FIN in flags:
             self._handle_fin(segment)
 
     # ------------------------------------------------------------------
@@ -280,29 +291,33 @@ class TCPConnection:
         ):
             return
         limit = self.send_window
-        while (
-            self.snd_nxt < self.layout.next_seq
-            and self.bytes_in_flight < limit
-        ):
-            # SACK: never resend ranges the peer already holds.
-            skipped = self._skip_sacked(self.snd_nxt)
-            if skipped != self.snd_nxt:
-                self.snd_nxt = skipped
-                continue
-            available = self.layout.next_seq - self.snd_nxt
-            budget = limit - self.bytes_in_flight
-            length = min(self.config.mss, available, budget)
+        layout = self.layout
+        mss = self.config.mss
+        while True:
+            snd_nxt = self.snd_nxt
+            in_flight = snd_nxt - self.snd_una
+            available = layout.next_seq - snd_nxt
+            if available <= 0 or in_flight >= limit:
+                break
+            scoreboard = self._sack_scoreboard
+            if scoreboard:
+                # SACK: never resend ranges the peer already holds.
+                skipped = self._skip_sacked(snd_nxt)
+                if skipped != snd_nxt:
+                    self.snd_nxt = skipped
+                    continue
+            length = min(mss, available, limit - in_flight)
             if length <= 0:
                 break
-            # Clip at the next sacked range so chunks stay hole-aligned.
-            next_sacked = self._next_sacked_start(self.snd_nxt)
-            if next_sacked is not None:
-                length = min(length, next_sacked - self.snd_nxt)
+            if scoreboard:
+                # Clip at the next sacked range so chunks stay hole-aligned.
+                next_sacked = self._next_sacked_start(snd_nxt)
+                if next_sacked is not None:
+                    length = min(length, next_sacked - snd_nxt)
             # After an RTO rewound snd_nxt (go-back-N), sends below
             # snd_max are retransmissions of previously sent data.
-            retransmission = self.snd_nxt < self.snd_max
-            self._send_data_segment(self.snd_nxt, length, retransmission)
-            self.snd_nxt += length
+            self._send_data_segment(snd_nxt, length, snd_nxt < self.snd_max)
+            self.snd_nxt = snd_nxt + length
         if self.snd_una < self.snd_nxt and not self._retransmit_timer.armed:
             self._retransmit_timer.start(self.rto.rto)
         self._maybe_send_fin()
@@ -327,7 +342,7 @@ class TCPConnection:
         """Out-of-order ranges to advertise (up to 3, SACK enabled)."""
         if not self.config.sack:
             return ()
-        return tuple(self.reassembly.out_of_order_ranges[:3])
+        return self.reassembly.first_ranges(3)
 
     def _send_data_segment(self, seq: int, length: int, retransmission: bool) -> None:
         spans = self.layout.spans_starting_in(seq, seq + length)
@@ -341,7 +356,7 @@ class TCPConnection:
             option_bytes=self.config.option_bytes
             + (2 + 8 * len(sack_blocks) if sack_blocks else 0),
             layout=self.layout,
-            tls_records=tuple(span.message for span in spans),
+            tls_records=tuple([span.message for span in spans]),
             is_retransmission=retransmission,
             sack_blocks=sack_blocks,
         )
@@ -412,7 +427,8 @@ class TCPConnection:
                 self.snd_nxt = self.snd_una
             self._dupacks = 0
             self.rto.reset_backoff()
-            self._prune_sack_scoreboard()
+            if self._sack_scoreboard:
+                self._prune_sack_scoreboard()
             if self._sample_end is not None and ack >= self._sample_end:
                 self.rto.on_sample(self._sim.now - self._sample_time)
                 self._sample_end = None
@@ -443,10 +459,7 @@ class TCPConnection:
             return
         self.cc.on_fast_retransmit(self.bytes_in_flight, self.snd_nxt)
         self._record(
-            "tcp.retransmit",
-            kind="fast",
-            seq=self.snd_una,
-            length=length,
+            "tcp.retransmit", _FAST_RETRANSMIT_KEYS, ("fast", self.snd_una, length)
         )
         self._send_data_segment(self.snd_una, length, retransmission=True)
         self._retransmit_timer.start(self.rto.rto)
@@ -460,14 +473,14 @@ class TCPConnection:
             self.rto.on_timeout()
             self._emit(flags)
             self._retransmit_timer.start(self.rto.rto)
-            self._record("tcp.retransmit", kind="handshake")
+            self._record("tcp.retransmit", _KIND_KEYS, ("handshake",))
             return
         if self._fin_seq is not None and self.snd_una >= self.layout.next_seq:
             # Only the FIN is outstanding.
             self.rto.on_timeout()
             self._emit(FLAGS_FIN_ACK)
             self._retransmit_timer.start(self.rto.rto)
-            self._record("tcp.retransmit", kind="fin")
+            self._record("tcp.retransmit", _KIND_KEYS, ("fin",))
             return
         if self.snd_una >= self.snd_nxt:
             return
@@ -476,10 +489,13 @@ class TCPConnection:
         self._dupacks = 0
         self._record(
             "tcp.retransmit",
-            kind="rto",
-            seq=self.snd_una,
-            length=min(self.config.mss, self.snd_nxt - self.snd_una),
-            rto=self.rto.rto,
+            _RTO_RETRANSMIT_KEYS,
+            (
+                "rto",
+                self.snd_una,
+                min(self.config.mss, self.snd_nxt - self.snd_una),
+                self.rto.rto,
+            ),
         )
         # Go-back-N: rewind and let _try_send retransmit from snd_una as
         # the (collapsed) congestion window allows.
@@ -545,8 +561,8 @@ class TCPConnection:
             if span.end <= self._delivered_upto:
                 self._record(
                     "tcp.duplicate_delivery",
-                    seq=span.start,
-                    length=span.length,
+                    _DUPLICATE_DELIVERY_KEYS,
+                    (span.start, span.length),
                 )
                 if self.on_message:
                     self.on_message(span.message, True)
@@ -591,7 +607,7 @@ class TCPConnection:
         self._delack_timer.cancel()
         if self._owns_port:
             self._host.unbind(self.local.port)
-        self._record("tcp.closed", reset=reset)
+        self._record("tcp.closed", _CLOSED_KEYS, (reset,))
         if self.on_close:
             self.on_close(reset)
 
@@ -623,12 +639,14 @@ class TCPConnection:
         self._transmit(segment)
 
     def _transmit(self, segment: TCPSegment) -> None:
-        packet = Packet(src=self.local, dst=self.remote, segment=segment)
+        packet = Packet(self.local, self.remote, segment)
         self._host.send(packet)
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple = (), values: tuple = ()) -> None:
         if self._trace is not None:
-            self._trace.record(self._sim.now, category, conn=self.name, **fields)
+            self._trace.record(
+                self._sim.now, category, _CONN_KEYS + keys, (self.name,) + values
+            )
 
     def __repr__(self) -> str:
         return (

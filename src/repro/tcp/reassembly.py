@@ -36,6 +36,11 @@ class ReassemblyBuffer:
         """Buffered ranges beyond the cumulative point (copy)."""
         return list(self._segments)
 
+    def first_ranges(self, count: int) -> Tuple[Tuple[int, int], ...]:
+        """The first ``count`` buffered ranges beyond the cumulative
+        point (all of them when fewer are buffered)."""
+        return tuple(self._segments[:count])
+
     def received_ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Everything received, as sorted and strictly disjoint ranges.
 

@@ -33,6 +33,10 @@ SERVER_HELLO_BYTES = 3100  # ServerHello + certificate chain + key share
 CLIENT_FINISHED_BYTES = 90
 SERVER_FINISHED_BYTES = 90
 
+#: Trace field names of the ``tls.send`` and ``tls.chaff`` rows.
+_SEND_KEYS = ("role", "records", "plaintext")
+_CHAFF_KEYS = ("role", "plaintext")
+
 
 class TLSRole(enum.Enum):
     CLIENT = "client"
@@ -159,9 +163,8 @@ class TLSSession:
             self._trace.record(
                 self._connection.sim.now,
                 "tls.send",
-                role=self.role.value,
-                records=len(records),
-                plaintext=length,
+                _SEND_KEYS,
+                (self.role.value, len(records), length),
             )
         return records
 
@@ -190,8 +193,8 @@ class TLSSession:
             self._trace.record(
                 self._connection.sim.now,
                 "tls.chaff",
-                role=self.role.value,
-                plaintext=sealed,
+                _CHAFF_KEYS,
+                (self.role.value, sealed),
             )
         return record
 

@@ -67,6 +67,15 @@ FLAGS_CLOSE_RESET = frozenset({"CLOSE", "RESET"})
 
 _RANGE_START = itemgetter(0)
 
+#: Trace field names, one tuple per row shape; ``_record`` puts
+#: ``conn`` in front of them.
+_ROLE_KEYS = ("role",)
+_KIND_KEYS = ("kind",)
+_FAST_RETRANSMIT_KEYS = ("kind", "pn", "length")
+_PTO_RETRANSMIT_KEYS = ("kind", "pn", "rto")
+_CLOSED_KEYS = ("reset",)
+_CONN_KEYS = ("conn",)
+
 
 @dataclass(frozen=True)
 class QuicConfig:
@@ -475,7 +484,7 @@ class QuicConnection:
                 self._largest_pn_seen = max(self._largest_pn_seen, pn)
                 self.state = QuicState.ESTABLISHED
                 self._send_ack_now()
-                self._record("quic.established", role="client")
+                self._record("quic.established", _ROLE_KEYS, ("client",))
                 if self.on_established:
                     self.on_established()
                 self._try_send()
@@ -488,7 +497,7 @@ class QuicConnection:
                 return
             self._pto_timer.cancel()
             self.state = QuicState.ESTABLISHED
-            self._record("quic.established", role="server")
+            self._record("quic.established", _ROLE_KEYS, ("server",))
             if self.on_established:
                 self.on_established()
             # Fall through: the datagram may carry acks and data.
@@ -639,9 +648,8 @@ class QuicConnection:
             )
         self._record(
             "quic.retransmit",
-            kind="fast",
-            pn=lost[0],
-            length=first.payload_bytes,
+            _FAST_RETRANSMIT_KEYS,
+            ("fast", lost[0], first.payload_bytes),
         )
 
     def _requeue(self, record: _SentPacket) -> None:
@@ -786,13 +794,13 @@ class QuicConnection:
             self.rto.on_timeout()
             self._emit_control(FLAGS_INITIAL)
             self._pto_timer.start(self.rto.rto)
-            self._record("quic.retransmit", kind="handshake")
+            self._record("quic.retransmit", _KIND_KEYS, ("handshake",))
             return
         if self.state is QuicState.ACCEPTING:
             self.rto.on_timeout()
             self._emit_control(FLAGS_INITIAL_ACK)
             self._pto_timer.start(self.rto.rto)
-            self._record("quic.retransmit", kind="handshake")
+            self._record("quic.retransmit", _KIND_KEYS, ("handshake",))
             return
         # Lost records stay in ``_sent`` until the next productive ACK
         # (see ``_handle_acks``); they lead it, in ascending order.
@@ -807,9 +815,8 @@ class QuicConnection:
         self.rto.on_timeout()
         self._record(
             "quic.retransmit",
-            kind="pto",
-            pn=outstanding[0][0],
-            rto=self.rto.rto,
+            _PTO_RETRANSMIT_KEYS,
+            ("pto", outstanding[0][0], self.rto.rto),
         )
         for _, record in outstanding:
             record.lost = True
@@ -842,7 +849,7 @@ class QuicConnection:
         self._ack_timer.cancel()
         if self._owns_port:
             self._host.unbind(self.local.port)
-        self._record("quic.closed", reset=reset)
+        self._record("quic.closed", _CLOSED_KEYS, (reset,))
         if self.on_close:
             self.on_close(reset)
 
@@ -879,12 +886,14 @@ class QuicConnection:
         self._transmit(datagram)
 
     def _transmit(self, datagram: QuicDatagram) -> None:
-        packet = Packet(src=self.local, dst=self.remote, segment=datagram)
+        packet = Packet(self.local, self.remote, datagram)
         self._host.send(packet)
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple = (), values: tuple = ()) -> None:
         if self._trace is not None:
-            self._trace.record(self._sim.now, category, conn=self.name, **fields)
+            self._trace.record(
+                self._sim.now, category, _CONN_KEYS + keys, (self.name,) + values
+            )
 
     def __repr__(self) -> str:
         return (

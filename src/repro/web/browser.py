@@ -20,6 +20,10 @@ from repro.simkernel.simulator import Simulator
 from repro.simkernel.trace import TraceLog
 from repro.web.site import LoadSchedule, ScheduledRequest
 
+#: Trace field names, one tuple per row shape.
+_REQUEST_KEYS = ("path", "index")
+_PATH_KEYS = ("path",)
+_RESET_KEYS = ("streams",)
 
 @dataclass
 class BrowserConfig:
@@ -117,9 +121,7 @@ class Browser:
         handle.on_complete = self._on_object_complete
         self.handles_by_object.setdefault(request.obj.object_id, []).append(handle)
         self._record(
-            "browser.request",
-            path=request.obj.path,
-            index=self._next_index,
+            "browser.request", _REQUEST_KEYS, (request.obj.path, self._next_index)
         )
         self._next_index += 1
         self._schedule_next_request()
@@ -143,7 +145,7 @@ class Browser:
                 handle.on_complete = self._on_object_complete
                 if handle.complete:
                     self._on_object_complete(handle)
-            self._record("browser.push_adopted", path=request.obj.path)
+            self._record("browser.push_adopted", _PATH_KEYS, (request.obj.path,))
             return handle
         return None
 
@@ -207,7 +209,7 @@ class Browser:
         self.resets_sent += 1
         self._current_reset_timeout *= self.config.reset_backoff
         reset_ids = self.client.reset_all_active(H2ErrorCode.CANCEL)
-        self._record("browser.reset", streams=len(reset_ids))
+        self._record("browser.reset", _RESET_KEYS, (len(reset_ids),))
         self.sim.schedule(self.config.reretry_delay, self._rerequest_missing)
 
     def _rerequest_missing(self) -> None:
@@ -278,11 +280,11 @@ class Browser:
         )
         handle.on_complete = self._on_object_complete
         self.handles_by_object.setdefault(request.obj.object_id, []).append(handle)
-        self._record("browser.rerequest", path=request.obj.path)
+        self._record("browser.rerequest", _PATH_KEYS, (request.obj.path,))
 
-    def _record(self, category: str, **fields) -> None:
+    def _record(self, category: str, keys: tuple = (), values: tuple = ()) -> None:
         if self._trace is not None:
-            self._trace.record(self.sim.now, category, **fields)
+            self._trace.record(self.sim.now, category, keys, values)
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,7 @@ is exactly reproducible and any session can be rebuilt in isolation.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Tuple
 
@@ -87,8 +88,10 @@ class ZipfSampler:
     def __init__(self, low: int, high: int, exponent: float) -> None:
         if low < 1 or high < low:
             raise ValueError(f"bad zipf support [{low}, {high}]")
-        if exponent < 0:
-            raise ValueError("zipf exponent must be non-negative")
+        if not 0 <= exponent < math.inf:
+            raise ValueError(
+                f"zipf exponent must be finite and non-negative, got {exponent}"
+            )
         self.low = low
         self.high = high
         self.exponent = exponent
@@ -170,6 +173,17 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if self.min_objects < 1 or self.max_objects < self.min_objects:
             raise ValueError("bad object-count support")
+        # NaN fails every comparison, so each check is written to pass
+        # only for a real number in range.
+        if not 0 <= self.count_exponent < math.inf:
+            raise ValueError(
+                "count_exponent must be finite and non-negative, "
+                f"got {self.count_exponent}"
+            )
+        if not math.isfinite(self.size_exponent):
+            raise ValueError(
+                f"size_exponent must be finite, got {self.size_exponent}"
+            )
         if not 0 <= self.size_jitter < 1:
             raise ValueError("size_jitter must be in [0, 1)")
         if self.target_range[0] < 1 or self.target_range[1] < self.target_range[0]:

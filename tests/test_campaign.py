@@ -102,6 +102,30 @@ def test_zipf_sampler_rejects_bad_support():
         ZipfSampler(5, 4, 1.0)
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf"), -0.5])
+def test_zipf_sampler_rejects_bad_exponent(exponent):
+    with pytest.raises(ValueError, match="exponent"):
+        ZipfSampler(1, 10, exponent)
+
+
+@pytest.mark.parametrize("field", ["count_exponent", "size_exponent"])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=repr
+)
+def test_population_config_requires_finite_exponents(field, value):
+    # NaN passes a plain ``< 0`` check, so each exponent is checked to
+    # be a real number when the config is built, before any shard.
+    with pytest.raises(ValueError, match=field):
+        PopulationConfig(**{field: value})
+
+
+def test_population_config_rejects_negative_count_exponent():
+    with pytest.raises(ValueError, match="count_exponent"):
+        PopulationConfig(count_exponent=-0.1)
+    # A negative rank-size exponent is a real (if odd) population.
+    assert PopulationConfig(size_exponent=-0.1).size_exponent == -0.1
+
+
 # -- Columnar summaries -------------------------------------------------
 
 

@@ -315,6 +315,7 @@ def test_robustness_study_smoke(capsys):
     ["--levels", "nan"],
     ["--levels", "0.2,-0.5"],
     ["--levels", "high"],
+    ["--levels", ","],
     ["--trial-timeout", "-5"],
     ["--trial-retries", "-1"],
 ], ids=" ".join)
@@ -388,6 +389,28 @@ def test_campaign_allow_partial_exits_3(capsys, tmp_path):
     payload = json.loads(manifest.read_text())
     validate_manifest(payload)
     assert payload["status"] == "partial"
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--sessions", "100", "--shard-size", "50",
+     "--count-exponent", "nan"],
+    ["campaign", "--sessions", "100", "--shard-size", "50",
+     "--size-exponent", "nan"],
+    ["campaign", "--sessions", "100", "--shard-size", "50",
+     "--count-exponent", "inf"],
+    ["campaign", "--sessions", "100", "--shard-size", "50",
+     "--size-exponent", "inf"],
+    ["chaos", "--scenario", ","],
+    ["verify", "--only", ","],
+], ids=" ".join)
+def test_bad_values_exit_2_before_any_work(capsys, argv):
+    # Rejected with ``repro: …`` before a shard, trial, scenario or
+    # check runs: nothing reaches stdout.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("repro: ")
+    assert captured.out == ""
 
 
 def test_chaos_unknown_scenario_exits_2(capsys):

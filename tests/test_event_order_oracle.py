@@ -56,7 +56,8 @@ def reference_ingress(self, packet, direction):
             self.dropped += 1
             self.fault_dropped += 1
             self._record(
-                "middlebox.drop.fault", packet, direction, fault=fault.reason
+                "middlebox.drop.fault", packet, direction, ("fault",),
+                (fault.reason,),
             )
             return
         if not fault.any:
@@ -86,7 +87,9 @@ def reference_ingress(self, packet, direction):
         )
         self._record("middlebox.dup", packet, direction)
     if release_delay > 0:
-        self._record("middlebox.delay", packet, direction, delay=release_delay)
+        self._record(
+            "middlebox.delay", packet, direction, ("delay",), (release_delay,)
+        )
 
 
 def reference_merge(self, start, end):

@@ -185,9 +185,8 @@ class _ScanModel(QuicConnection):
         first_pn, first = min(lost, key=lambda item: item[0])
         self._record(
             "quic.retransmit",
-            kind="fast",
-            pn=first_pn,
-            length=first.payload_bytes,
+            ("kind", "pn", "length"),
+            ("fast", first_pn, first.payload_bytes),
         )
 
     def _on_pto(self):
@@ -202,9 +201,8 @@ class _ScanModel(QuicConnection):
         self.rto.on_timeout()
         self._record(
             "quic.retransmit",
-            kind="pto",
-            pn=min(pn for pn, _ in outstanding),
-            rto=self.rto.rto,
+            ("kind", "pn", "rto"),
+            ("pto", min(pn for pn, _ in outstanding), self.rto.rto),
         )
         for _, record in sorted(outstanding, key=lambda item: item[0]):
             record.lost = True

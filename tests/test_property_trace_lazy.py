@@ -1,7 +1,7 @@
 """Property-based tests for the lazily-formatted trace log.
 
-The optimized :class:`TraceLog` stores raw ``(time, category, fields)``
-tuples and only materializes/renders records on demand, with a
+The optimized :class:`TraceLog` stores raw ``(time, category, keys,
+values)`` tuples and only materializes/renders records on demand, with a
 per-category index answering exact-category queries.  These tests pit
 that implementation against a straight-line eager reference on
 randomized record streams: same rendered lines, same query results,
@@ -44,7 +44,7 @@ def _fill(rows):
     eager_lines = []
     eager_records = []
     for time, category, fields in rows:
-        log.record(time, category, **fields)
+        log.record(time, category, tuple(fields), tuple(fields.values()))
         # Eager reference: format and materialize at append time.
         eager_lines.append(format_record(time, category, fields))
         eager_records.append(TraceRecord(time, category, dict(fields)))

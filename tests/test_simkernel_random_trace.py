@@ -14,7 +14,7 @@ from repro.simkernel.randomstream import (
     randint,
     uniform,
 )
-from repro.simkernel.trace import TraceLog
+from repro.simkernel.trace import TraceLog, format_record
 from repro.simkernel.units import (
     MBPS,
     MILLISECONDS,
@@ -137,15 +137,38 @@ def test_array_draws_equal_scalar_counter_stream(seeds, draws, low, span):
 
 def test_trace_record_and_select():
     log = TraceLog()
-    log.record(1.0, "tcp.retransmit", kind="fast")
-    log.record(2.0, "tcp.retransmit", kind="rto")
-    log.record(3.0, "h2.request", path="/x")
+    log.record(1.0, "tcp.retransmit", ("kind",), ("fast",))
+    log.record(2.0, "tcp.retransmit", ("kind",), ("rto",))
+    log.record(3.0, "h2.request", ("path",), ("/x",))
     assert log.count(category="tcp.retransmit") == 2
     assert log.count(prefix="tcp.") == 2
     fast = log.select(
         category="tcp.retransmit", predicate=lambda r: r["kind"] == "fast"
     )
     assert len(fast) == 1 and fast[0].time == 1.0
+
+
+def test_tuple_row_renders_like_format_record():
+    """A row stored as names and values materializes and renders exactly
+    like the same fields passed to ``format_record``."""
+    log = TraceLog()
+    keys = ("link", "direction", "packet_id", "size", "arrival")
+    values = ("client-link", 0, 17, 1500, 0.0123)
+    log.record(1.25, "link.send", keys, values)
+    record = log[0]
+    fields = {"link": "client-link", "direction": 0, "packet_id": 17,
+              "size": 1500, "arrival": 0.0123}
+    assert record.fields == fields
+    assert list(record.fields) == list(keys)
+    assert record.render() == format_record(1.25, "link.send", fields)
+    assert record.render() == (
+        "  1.250000 link.send link='client-link' direction=0 packet_id=17 "
+        "size=1500 arrival=0.0123"
+    )
+    assert log[0] is record and log.select("link.send")[0] is record
+    log.record(2.0, "tcp.syn_sent")
+    assert log[1].fields == {}
+    assert log[1].render() == format_record(2.0, "tcp.syn_sent", {})
 
 
 def test_trace_disabled_records_nothing():
@@ -164,7 +187,7 @@ def test_trace_categories_histogram():
 
 def test_trace_record_get_with_default():
     log = TraceLog()
-    log.record(1.0, "x", field=5)
+    log.record(1.0, "x", ("field",), (5,))
     record = log.select(category="x")[0]
     assert record.get("field") == 5
     assert record.get("missing", "d") == "d"
@@ -228,7 +251,7 @@ def _populated_log():
     categories = ["tcp.send", "tcp.recv", "tcp.retransmit",
                   "h2.frame", "h2.reset", "adversary.drop", "tcp"]
     for i in range(200):
-        log.record(float(i) / 10.0, categories[i % len(categories)], n=i)
+        log.record(float(i) / 10.0, categories[i % len(categories)], ("n",), (i,))
     return log
 
 
@@ -278,14 +301,14 @@ def test_index_survives_clear_and_reuse():
     assert log.count() == 0
     assert log.categories() == {}
     assert log.select(prefix="tcp.") == []
-    log.record(1.0, "tcp.send", n=1)
+    log.record(1.0, "tcp.send", ("n",), (1,))
     assert log.count(category="tcp.send") == 1
     assert log.categories() == {"tcp.send": 1}
 
 
 def test_disabled_log_keeps_index_empty():
     log = TraceLog(enabled=False)
-    log.record(1.0, "tcp.send", n=1)
+    log.record(1.0, "tcp.send", ("n",), (1,))
     assert log.count() == 0
     assert log.count(category="tcp.send") == 0
     assert log.select(category="tcp.send") == []

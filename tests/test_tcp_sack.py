@@ -44,6 +44,26 @@ def test_sack_transfer_reliable_under_loss():
     assert received == list(range(20))
 
 
+def test_sack_sender_sends_around_the_scoreboard(monkeypatch):
+    """While the scoreboard holds ranges, no data segment overlaps them."""
+    sends = []
+    original = TCPConnection._send_data_segment
+
+    def spy(self, seq, length, retransmission):
+        sends.append((seq, length, tuple(self._sack_scoreboard)))
+        original(self, seq, length, retransmission)
+
+    monkeypatch.setattr(TCPConnection, "_send_data_segment", spy)
+    received, retransmitted = _transfer(sack=True, loss=0.08)
+    assert received == list(range(20))
+    # Counts of this seed's transfer; the scoreboard was in use.
+    assert (len(sends), retransmitted) == (62, 5)
+    assert sum(1 for _, _, board in sends if board) == 17
+    for seq, length, board in sends:
+        for start, end in board:
+            assert seq + length <= start or seq >= end, (seq, length, board)
+
+
 def test_sack_reduces_retransmissions_under_loss():
     """SACK retransmits only the holes; go-back-N resends sacked data."""
     _, without_sack = _transfer(sack=False, loss=0.08)
@@ -83,6 +103,31 @@ def test_sack_scoreboard_merging(wire):
     client.snd_una = 250
     client._prune_sack_scoreboard()
     assert client._sack_scoreboard == [(250, 300), (400, 500)]
+
+
+def test_sack_sender_clips_and_skips_at_sacked_ranges(wire):
+    """After a go-back-N rewind, the sender resends only the holes: a
+    chunk stops where a sacked range starts, and sacked ranges are
+    skipped."""
+    sim, host_a, host_b = wire
+    config = TCPConfig(sack=True)
+    TCPListener(sim, host_b, 443, lambda connection: None, config=config)
+    client = TCPConnection(
+        sim, host_a, 50_000, host_b.endpoint(443), config=config
+    )
+    client.connect()
+    sim.run_until(0.1)
+    sends = []
+    client._send_data_segment = (
+        lambda seq, length, retransmission:
+        sends.append((seq, length, retransmission))
+    )
+    client.layout.append(_Msg(6_000, "m"))
+    client.snd_max = 6_000
+    client._sack_scoreboard = [(1_000, 2_500), (3_000, 6_000)]
+    client._try_send()
+    assert sends == [(0, 1_000, True), (2_500, 500, True)]
+    assert client.snd_nxt == 6_000
 
 
 def test_sack_off_advertises_nothing(wire):

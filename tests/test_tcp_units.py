@@ -169,6 +169,17 @@ def test_reassembly_empty_range_is_duplicate():
     assert duplicate
 
 
+def test_reassembly_first_ranges():
+    buffer = ReassemblyBuffer()
+    assert buffer.first_ranges(3) == ()
+    for start in (100, 300, 500, 700):
+        buffer.receive(start, start + 100)
+    assert buffer.first_ranges(3) == ((100, 200), (300, 400), (500, 600))
+    assert buffer.first_ranges(3) == tuple(buffer.out_of_order_ranges[:3])
+    buffer.receive(0, 100)
+    assert buffer.first_ranges(3) == ((300, 400), (500, 600), (700, 800))
+
+
 def test_reassembly_multiple_holes():
     buffer = ReassemblyBuffer()
     buffer.receive(100, 200)
