@@ -141,7 +141,7 @@ def write_manifest(path: str, manifest: Dict[str, Any]) -> None:
 def validate_manifest(payload: Any) -> None:
     """Schema-check a manifest; raises ``ValueError`` naming the defect.
 
-    Used by the chaos harness and the smoke scripts to assert that
+    Used by the chaos harness and the recovery test to assert that
     every degraded run leaves a *well-formed* record behind, not just
     any JSON.
     """

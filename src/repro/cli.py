@@ -232,14 +232,6 @@ def _add_commands(commands) -> None:
         help="JSON file completed trials stream into; a re-run with it "
              "resumes instead of recomputing",
     )
-    robustness.add_argument(
-        "--trial-timeout", type=float, default=300.0,
-        help="per-trial wall-clock budget in seconds (default %(default)s)",
-    )
-    robustness.add_argument(
-        "--trial-retries", type=int, default=1,
-        help="same-seed retries per failed trial (default %(default)s)",
-    )
     verify = add("verify", _run_verify, "conformance vectors, golden "
                  "masters and the determinism matrix", transport)
     verify.add_argument(
@@ -437,7 +429,6 @@ def _run_attack(args) -> int:
 def _run_robustness_study(args) -> int:
     """The fault-intensity sweep (see repro.experiments.robustness_study)."""
     from repro.experiments import robustness_study
-    from repro.experiments.executor import FaultTolerance
 
     if args.levels:
         try:
@@ -451,17 +442,12 @@ def _run_robustness_study(args) -> int:
     else:
         intensities = robustness_study.INTENSITIES
     try:
-        fault_tolerance = FaultTolerance(
-            timeout=args.trial_timeout,
-            retries=args.trial_retries,
-            checkpoint_path=args.checkpoint,
-        )
         result = robustness_study.run(
             trials=min(args.trials, 3) if args.quick else args.trials,
             seed=args.seed,
             intensities=intensities,
             workers=args.workers,
-            fault_tolerance=fault_tolerance,
+            checkpoint_path=args.checkpoint,
         )
     except ValueError as error:
         return _fail(error)

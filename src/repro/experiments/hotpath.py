@@ -1,4 +1,4 @@
-"""Reference single-trial slices for profiling and the hot-path bench.
+"""Reference single-trial slices for profiling and the benchmark suite.
 
 Two canonical trials bound the per-trial cost of every sweep:
 
@@ -9,8 +9,9 @@ Two canonical trials bound the per-trial cost of every sweep:
   the offline sequence analysis).
 
 ``python -m repro profile`` runs both with a profiler attached and
-prints the per-subsystem report; ``benchmarks/bench_hotpath.py`` times
-them and writes ``BENCH_hotpath.json``.
+prints the per-subsystem report; the ``paper-tcp`` and ``paper-quic``
+workloads of ``benchmarks/suite`` time the same two slices over each
+transport.
 """
 
 from __future__ import annotations

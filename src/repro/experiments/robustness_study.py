@@ -305,9 +305,11 @@ def run(
     intensities: Sequence[float] = INTENSITIES,
     workers: Optional[int] = None,
     max_drop_retries: int = 2,
-    fault_tolerance: Optional[FaultTolerance] = None,
+    checkpoint_path: Optional[str] = None,
 ) -> RobustnessResult:
     """Run the fault-intensity sweep.
+
+    Each trial gets a 300 s wall-clock budget and one same-seed retry.
 
     Args:
         trials: attacked page loads per intensity level.
@@ -315,10 +317,10 @@ def run(
         intensities: fault levels to sweep, each in [0, 1].
         workers: worker processes (see :class:`TrialExecutor`).
         max_drop_retries: the adversary's retry budget per trial.
-        fault_tolerance: executor policy; defaults to per-trial retry
-            with a generous timeout.  The checkpoint (when configured)
-            is shared across the whole sweep — trial indices are offset
-            per level so every (level, trial) pair is distinct.
+        checkpoint_path: JSON file completed trials stream into; a
+            re-run with it resumes.  One file covers the whole sweep:
+            trial indices are offset per level so every (level, trial)
+            pair is distinct.
 
     Raises:
         ValueError: before any trial runs, when no intensity is given
@@ -330,8 +332,9 @@ def run(
     if outside:
         raise ValueError(f"fault intensities must be in [0, 1], got {outside}")
     executor = TrialExecutor(workers=workers)
-    if fault_tolerance is None:
-        fault_tolerance = FaultTolerance(timeout=300.0, retries=1)
+    fault_tolerance = FaultTolerance(
+        timeout=300.0, retries=1, checkpoint_path=checkpoint_path
+    )
     result = RobustnessResult(trials=trials, seed=seed)
     for level, intensity in enumerate(intensities):
         row = IntensityRow(intensity=intensity)

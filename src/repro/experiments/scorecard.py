@@ -2,17 +2,14 @@
 
 Runs the paper's primary experiments and renders measured values next
 to the paper's, with a coarse shape verdict per row — the one-command
-answer to "does this reproduction hold up?".  Per-experiment wall
-times are recorded and exportable as JSON (``Scorecard.to_json``) for
-machine consumption by the benchmark harness.
+answer to "does this reproduction hold up?".  ``repro scorecard`` exits
+1 when any row's shape fails.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments import baseline, fig1, fig6, table1, table2
 from repro.experiments.report import format_table
@@ -42,8 +39,6 @@ class ScorecardRow:
 @dataclass
 class Scorecard:
     rows_data: List[ScorecardRow] = field(default_factory=list)
-    #: Wall-clock seconds per sub-experiment, in execution order.
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def add(self, metric: str, paper, measured, shape_holds: bool) -> None:
         self.rows_data.append(
@@ -72,42 +67,13 @@ class Scorecard:
             title="Reproduction scorecard",
         ) + f"\n{verdict}"
 
-    def to_json(self, indent: int = 2) -> str:
-        """Machine-readable scorecard: rows, verdict, and wall times."""
-        return json.dumps(
-            {
-                "all_shapes_hold": self.all_shapes_hold,
-                "rows": [
-                    {
-                        "metric": row.metric,
-                        "paper": row.paper,
-                        "measured": row.measured,
-                        "shape_holds": row.shape_holds,
-                    }
-                    for row in self.rows_data
-                ],
-                "timings_seconds": {
-                    name: round(seconds, 3)
-                    for name, seconds in self.timings.items()
-                },
-                "total_seconds": round(sum(self.timings.values()), 3),
-            },
-            indent=indent,
-        )
-
 
 def run(trials: int = 15, seed: int = 7,
         workers: Optional[int] = None) -> Scorecard:
     """Run the primary experiments and score them against the paper."""
     card = Scorecard()
 
-    def timed(name, thunk):
-        start = time.perf_counter()
-        outcome = thunk()
-        card.timings[name] = time.perf_counter() - start
-        return outcome
-
-    figure1 = timed("fig1", lambda: fig1.run(seed=seed))
+    figure1 = fig1.run(seed=seed)
     card.add(
         "Fig 1: sequential sizes recovered", "yes",
         "yes" if figure1.sequential.both_identified else "no",
@@ -119,10 +85,7 @@ def run(trials: int = 15, seed: int = 7,
         not figure1.pipelined.both_identified,
     )
 
-    base = timed(
-        "baseline",
-        lambda: baseline.run(trials=trials, seed=seed, workers=workers),
-    )
+    base = baseline.run(trials=trials, seed=seed, workers=workers)
     measured_pct = base.html_not_multiplexed_pct
     card.add(
         "baseline: HTML not multiplexed",
@@ -136,10 +99,7 @@ def run(trials: int = 15, seed: int = 7,
         base.image_mean_degree >= 0.6,
     )
 
-    jitter = timed(
-        "table1",
-        lambda: table1.run(trials=trials, seed=seed, workers=workers),
-    )
+    jitter = table1.run(trials=trials, seed=seed, workers=workers)
     at_50 = jitter.rows_data[2]
     card.add(
         "Table I: not multiplexed @50 ms",
@@ -154,11 +114,8 @@ def run(trials: int = 15, seed: int = 7,
         counts == sorted(counts) and counts[-1] > counts[0],
     )
 
-    drops = timed(
-        "fig6",
-        lambda: fig6.run(trials=trials, seed=seed, drop_rates=(0.8,),
-                         workers=workers),
-    )
+    drops = fig6.run(trials=trials, seed=seed, drop_rates=(0.8,),
+                     workers=workers)
     success = drops.rows_data[0].success_pct
     card.add(
         "§IV-D: success at 80% drops",
@@ -167,10 +124,7 @@ def run(trials: int = 15, seed: int = 7,
         success >= 70.0,
     )
 
-    accuracy = timed(
-        "table2",
-        lambda: table2.run(trials=trials, seed=seed, workers=workers),
-    )
+    accuracy = table2.run(trials=trials, seed=seed, workers=workers)
     card.add(
         "Table II: single-object HTML",
         f"{PAPER['table2 single-object HTML (%)']}%",

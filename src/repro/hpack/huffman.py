@@ -51,8 +51,8 @@ def huffman_encoded_length(text: str) -> int:
     Deliberately *not* memoized: the only hot caller is
     :func:`string_literal_length`, whose own ``lru_cache`` already
     short-circuits repeated strings — so a cache here can never hit
-    (``BENCH_hotpath.json`` recorded 0 hits over 117 misses before it
-    was removed).  The dict lookup is inlined rather than routed
+    (a hot-path profile of the reference slices recorded 0 hits over
+    117 misses before it was removed).  The dict lookup is inlined rather than routed
     through :func:`symbol_code_bits`, which would re-validate the
     single-char invariant for every character of every string.
     """

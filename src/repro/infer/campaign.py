@@ -11,7 +11,7 @@ partial coverage and failure manifests.  This module keeps only the
 shard fold (:class:`InferShardTask`, integer
 :class:`~repro.infer.summary.InferSummary` folds that merge exactly at
 any split) and the frontier report, so a SIGKILLed run resumes to a
-bit-identical frontier (``scripts/resume_smoke.py infer`` pins that end
+bit-identical frontier (``tests/test_recovery_smoke.py`` pins that end
 to end).
 """
 

@@ -187,15 +187,11 @@ def profiled(profiler: Optional[Profiler] = None) -> Iterator[Profiler]:
         _active = previous
 
 
-def peak_rss_kb(include_children: bool = False) -> int:
+def peak_rss_kb() -> int:
     """Peak resident set size of this process, in kibibytes.
 
     A high-water mark maintained by the kernel (``ru_maxrss``), so
     reading it costs one syscall and never perturbs the hot path.
-    With ``include_children``, the max over *waited-for* child
-    processes (spawn workers, which the executor joins before
-    ``map_trials`` returns) is folded in — the figure that bounds a
-    multi-worker campaign.
 
     Returns 0 on platforms without :mod:`resource` (Windows).
     """
@@ -204,13 +200,7 @@ def peak_rss_kb(include_children: bool = False) -> int:
     except ImportError:  # pragma: no cover - non-POSIX
         return 0
     scale = 1024 if sys.platform == "darwin" else 1  # macOS reports bytes
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // scale
-    if include_children:
-        children = (
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // scale
-        )
-        peak = max(peak, children)
-    return int(peak)
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // scale)
 
 
 @contextmanager
@@ -220,8 +210,7 @@ def traced_memory() -> Iterator[Dict[str, float]]:
     Yields a dict that, after the block exits, holds
     ``tracemalloc_peak_kb`` — the peak traced allocation in KiB.
     Tracing slows allocation noticeably, so callers keep it out of
-    wall-clock-timed sections (the hot-path bench runs one *extra*
-    traced pass after its timed repetitions).  Nests safely: if
+    wall-clock-timed sections.  Nests safely: if
     tracemalloc is already running, the outer trace is left running.
     """
     gauges: Dict[str, float] = {}

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import profiling
 from repro.campaign import (
     AnalyticModel,
     CampaignConfig,
@@ -291,6 +292,19 @@ def test_analytic_campaign_digest_is_pinned():
     assert run_campaign(config).digest() == (
         "a60a5fbfa5197183305c1bda5e484b492130373b86b7c59d6b3bdcfb6318bd47"
     )
+
+
+@pytest.mark.slow
+def test_campaign_heap_peak_is_independent_of_session_count():
+    # 32 000 sessions in four 8 000-session shards, folded in process so
+    # tracemalloc sees every allocation.  A shard folds each session
+    # into fixed-width integer columns and drops it, so the Python-heap
+    # peak stays in the low hundreds of KiB at any session count;
+    # keeping even ~100 bytes per session would pass 3 MiB.
+    config = CampaignConfig(sessions=32_000, shard_size=8_000, seed=11)
+    with profiling.traced_memory() as traced:
+        run_campaign(config, workers=1)
+    assert traced["tracemalloc_peak_kb"] <= 2_048
 
 
 def test_campaign_shard_size_never_changes_totals():

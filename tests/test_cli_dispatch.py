@@ -6,7 +6,8 @@ Three layers:
   with argparse's exit code 2 and a message naming the flag and the
   command — scoped flags used to be silently ignored elsewhere;
 * every argv the repository itself runs (the golden masters, the
-  determinism matrix, CI) must parse, and every ``--help`` must render;
+  determinism matrix, CI, the recovery test) must parse, and every
+  ``--help`` must render;
 * every command must dispatch, exit 0 and print something at the
   smallest profile (``--trials 1 --workers 1``).  Heavy choices
   (multi-study sweeps, the verify harness) carry the ``slow`` marker
@@ -21,6 +22,7 @@ import pytest
 
 from repro import cli
 from repro.conform.golden import EXPERIMENTS
+from tests.test_recovery_smoke import recovery_argvs
 
 CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
 
@@ -32,6 +34,9 @@ BAD_COMBOS = [
     (["table2", "--json", "out.json"], "--json"),
     (["fig5", "--trial-timeout", "10"], "--trial-timeout"),
     (["fig6", "--trial-retries", "2"], "--trial-retries"),
+    # The per-trial policy is fixed at 300 s and one retry.
+    (["robustness-study", "--trial-timeout", "-5"], "--trial-timeout"),
+    (["robustness-study", "--trial-retries", "-1"], "--trial-retries"),
     (["table1", "--update-golden"], "--update-golden"),
     (["delay", "--only", "fig1"], "--only"),
     (["verify", "--trial", "0"], "--trial"),
@@ -98,8 +103,7 @@ def test_coherent_scoped_flags_pass_validation():
     parse = cli.parse_args  # must not raise / exit
     parse(
         ["robustness-study", "--quick", "--levels", "0.2,0.5",
-         "--checkpoint", "ck.json", "--trial-timeout", "10",
-         "--trial-retries", "2", "--json", "out.json"]
+         "--checkpoint", "ck.json", "--json", "out.json"]
     )
     parse(["attack", "--trial", "3"])
     parse(["verify", "--quick", "--only", "fig1", "--update-golden"])
@@ -141,6 +145,7 @@ REPO_ARGVS = (
     + [argv + ["--workers", "4"] for argv in EXPERIMENTS.values()]
     + [EXPERIMENTS["robustness-study"] + ["--checkpoint", "ck.json"]]
     + _ci_argvs()
+    + recovery_argvs()
 )
 
 
@@ -316,8 +321,6 @@ def test_robustness_study_smoke(capsys):
     ["--levels", "0.2,-0.5"],
     ["--levels", "high"],
     ["--levels", ","],
-    ["--trial-timeout", "-5"],
-    ["--trial-retries", "-1"],
 ], ids=" ".join)
 def test_robustness_study_bad_values_exit_2_before_any_trial(capsys, flags):
     code = cli.main(["robustness-study", "--trials", "1", "--workers", "1"]

@@ -82,7 +82,6 @@ def test_peak_rss_is_positive_and_monotone():
     second = profiling.peak_rss_kb()
     del ballast
     assert second >= first
-    assert profiling.peak_rss_kb(include_children=True) >= second
 
 
 def test_traced_memory_reports_python_heap_peak():
