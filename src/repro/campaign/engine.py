@@ -370,7 +370,13 @@ def evaluate_page_full(
 
     site = generate_site_from_spec(rng, spec)
     target_position = site.schedule.index_of(site.target_object_id) + 1
-    result = run_load(
+    predictor = SizePredictor(
+        site.website.size_map(),
+        chunk_bytes=model.chunk_bytes,
+        tolerance_abs=model.tolerance_abs,
+        tolerance_rel=model.tolerance_rel,
+    )
+    with run_load(
         site,
         rng,
         TrialConfig(
@@ -382,14 +388,12 @@ def evaluate_page_full(
             transport=transport,
         ),
         trial=spec.session,
-    )
-    predictor = SizePredictor(
-        site.website.size_map(),
-        chunk_bytes=model.chunk_bytes,
-        tolerance_abs=model.tolerance_abs,
-        tolerance_rel=model.tolerance_rel,
-    )
-    serialized, match = result.score_target(site.target_object_id, predictor)
+    ) as result:
+        serialized, match = result.score_target(
+            site.target_object_id, predictor
+        )
+        broken = result.browser.broken
+        duration = result.duration
 
     # Tolerance-window crowding is a property of the inventory itself.
     expected_target = predictor.expected_for(site.target_object_id)
@@ -412,8 +416,8 @@ def evaluate_page_full(
         "identified": match is not None,
         "confusers": confusers,
         "match_error": match.error if match is not None else 0,
-        "broken": result.browser.broken,
-        "duration_us": round(result.duration * 1_000_000),
+        "broken": broken,
+        "duration_us": round(duration * 1_000_000),
     }
 
 

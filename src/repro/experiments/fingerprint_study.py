@@ -90,7 +90,8 @@ def _visit(
         ),
         horizon=30.0,
     )
-    return run_load(page, rng, config).monitor
+    with run_load(page, rng, config) as result:
+        return result.monitor
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ def run_generated_trial(
             escalated_jitter=escalated_spacing,
         )
     )
-    result = run_load(site, rng, config, trial)
-    serialized, match = result.score_target(site.target_object_id)
+    with run_load(site, rng, config, trial) as result:
+        serialized, match = result.score_target(site.target_object_id)
     return site, serialized, match is not None
 
 

@@ -17,11 +17,14 @@ topology and server objects and therefore cannot leave the process
 that ran the trial), this module defines the picklable
 :class:`TrialSummary` — everything the experiment modules aggregate,
 extracted worker-side so trials can run in a process pool (see
-:mod:`repro.experiments.executor`).
+:mod:`repro.experiments.executor`).  Whoever reads a result last
+releases it (:meth:`TrialResult.release`), so a finished load is freed
+by reference counting instead of by a full cyclic collection.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -184,6 +187,47 @@ class TrialResult:
         if best is not None and best.object_id != object_id:
             best = None
         return serialized, best
+
+    def release(self) -> None:
+        """Break the finished load's reference cycles, so that reference
+        counting frees it as soon as the caller drops it.
+
+        The stack is wired by callbacks that point back up (a link end's
+        handler is its host, a transport's ``on_message`` and its timers'
+        callbacks are bound methods, a response handle completes into the
+        browser), so a finished load is one reference cycle that keeps
+        every trace row, capture record and frame alive until a full
+        collection.  This drops the simulator's pending events and empties
+        every stack component; the trace, monitor, report and page stay
+        as they are.
+
+        Call it once a result's last read is done, or read the result
+        inside ``with`` (which releases it on the way out): a released
+        result is dead, and any attribute read raises
+        :class:`AttributeError`.
+        """
+        topology = self.topology
+        topology.sim.reset()
+        client, server = self.client, self.server
+        stack = [
+            self.browser, client, client.h2, client.tls, client.tcp,
+            server, server.listener, topology.middlebox, self.controller,
+            self.adversary,
+        ]
+        for connection in server.connections:
+            stack += (connection, connection.h2, connection.tls, connection.tcp)
+        for link in (topology.client_link, topology.server_link):
+            stack += (link, link.a, link.b, link.a.handler, link.b.handler)
+        for component in stack:
+            if component is not None:
+                vars(component).clear()
+        vars(self).clear()
+
+    def __enter__(self) -> "TrialResult":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
 
     def analyze(
         self, attack: Optional[SequenceAttack] = None
@@ -392,8 +436,10 @@ def summarize_trial(
     config: Optional[TrialConfig] = None,
     analyze: bool = True,
 ) -> TrialSummary:
-    """Run one trial and return its picklable summary."""
-    return summarize_result(run_trial(trial, workload, config), analyze=analyze)
+    """Run one trial and return its picklable summary (the trial itself
+    is released, see :meth:`TrialResult.release`)."""
+    with run_trial(trial, workload, config) as result:
+        return summarize_result(result, analyze=analyze)
 
 
 def run_trial(
@@ -426,11 +472,15 @@ def run_load(
 
     When a profiler is active (see :mod:`repro.profiling`) the load's
     phases are wall-clock timed and its subsystem counters harvested
-    after the run.  Profiling only *reads* state the simulation already
-    maintains, so results are byte-identical with it on or off.
+    after the run, with the cyclic collector's passes and the objects
+    they freed per generation (deltas of :func:`gc.get_stats`) over the
+    load.  Profiling only *reads* state the simulation and the
+    interpreter already maintain, so results are byte-identical with it
+    on or off.
     """
     profiler = profiling.active()
     phase_start = time.perf_counter() if profiler is not None else 0.0
+    gc_before = gc.get_stats() if profiler is not None else []
     config = config or TrialConfig()
 
     fault_at = config.fault_location
@@ -532,6 +582,13 @@ def run_load(
             + sum(conn.tcp.retransmitted_segments for conn in server.connections),
         )
         profiler.gauge_max("mem.peak_rss_kb", profiling.peak_rss_kb())
+        for generation, (before, after) in enumerate(
+            zip(gc_before, gc.get_stats())
+        ):
+            for stat in ("collections", "collected"):
+                profiler.count(
+                    f"gc.gen{generation}.{stat}", after[stat] - before[stat]
+                )
 
     return TrialResult(
         trial=trial,

@@ -56,13 +56,14 @@ class _PartialMuxTrial:
     def __call__(self, trial: int) -> Tuple[int, int, int]:
         workload = VolunteerWorkload(seed=self.seed)
         config = TrialConfig(controller_setup=SpacingSetup(self.spacing))
-        outcome = run_trial(trial, workload, config)
-        predictor = SizePredictor(outcome.site.size_map())
+        with run_trial(trial, workload, config) as outcome:
+            site = outcome.site
+            estimates = SizeEstimator().estimate(
+                outcome.monitor.response_packets()
+            )
+        predictor = SizePredictor(site.size_map())
         analyzer = PartialMultiplexingAnalyzer(predictor)
-        estimates = SizeEstimator().estimate(
-            outcome.monitor.response_packets()
-        )
-        emblems = [f"emblem-{p}" for p in outcome.site.party_order]
+        emblems = [f"emblem-{p}" for p in site.party_order]
 
         exact: Set[str] = set()
         via_blob: Set[str] = set()

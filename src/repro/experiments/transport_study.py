@@ -76,28 +76,28 @@ class _TransportTrial:
         config = TrialConfig(
             adversary=AdversaryConfig(), transport=self.transport
         )
-        outcome = run_trial(trial, workload, config)
-        analysis = outcome.analyze()
-        emblems = [f"emblem-{p}" for p in outcome.site.party_order]
-        identified = sum(
-            1 for emblem in emblems if analysis.single_success(emblem)
-        )
-        positions = sum(
-            1 for a, b in zip(analysis.sequence_prediction,
-                              analysis.sequence_truth)
-            if a == b
-        )
-        degrees = [outcome.report.min_degree(e) for e in emblems]
-        known = [d for d in degrees if d is not None]
-        return (
-            identified,
-            positions,
-            len(emblems),
-            sum(known) / len(known) if known else 1.0,
-            outcome.total_retransmissions(),
-            outcome.duplicate_servings(),
-            outcome.stream_resets(),
-        )
+        with run_trial(trial, workload, config) as outcome:
+            analysis = outcome.analyze()
+            emblems = [f"emblem-{p}" for p in outcome.site.party_order]
+            identified = sum(
+                1 for emblem in emblems if analysis.single_success(emblem)
+            )
+            positions = sum(
+                1 for a, b in zip(analysis.sequence_prediction,
+                                  analysis.sequence_truth)
+                if a == b
+            )
+            degrees = [outcome.report.min_degree(e) for e in emblems]
+            known = [d for d in degrees if d is not None]
+            return (
+                identified,
+                positions,
+                len(emblems),
+                sum(known) / len(known) if known else 1.0,
+                outcome.total_retransmissions(),
+                outcome.duplicate_servings(),
+                outcome.stream_resets(),
+            )
 
 
 def run(

@@ -211,8 +211,16 @@ class EventQueue:
         )
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event and the callback it holds.
+
+        An armed :class:`~repro.simkernel.timers.Timer` and its event
+        refer to each other (the timer keeps the event to cancel it, the
+        event's callback is the timer's method), so a cleared event that
+        kept its callback would keep the pair alive as cyclic garbage.
+        """
         for entry in self._heap:
-            entry[3]._queue = None
+            event = entry[3]
+            event._queue = None
+            event.callback = None
         self._heap.clear()
         self._cancelled = 0

@@ -168,8 +168,10 @@ class Simulator:
     def reset(self) -> None:
         """Clear the queue and rewind the clock to zero.
 
-        Only intended for test fixtures; live components holding timer
-        references must not be reused across a reset.
+        For test fixtures and for a finished trial's release (see
+        :meth:`repro.experiments.harness.TrialResult.release`); the
+        cleared events drop their callbacks, so live components holding
+        timer references must not be reused across a reset.
         """
         self._queue.clear()
         self.now = 0.0

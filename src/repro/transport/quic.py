@@ -322,6 +322,9 @@ class QuicConnection:
         self._sent: Dict[int, _SentPacket] = {}
         self._next_pn = 0
         self._largest_acked = -1
+        # The last ACK handled and ``_next_pn`` when it was.
+        self._handled_ack: Tuple[Tuple[int, int], ...] = ()
+        self._handled_below = 0
         self._in_flight = 0
         self._acked_bytes = 0
         self._wire_high = 0  # wire offset frontier of fresh sends
@@ -548,11 +551,22 @@ class QuicConnection:
         walk then advances through ``_sent`` and the ranges together and
         stops at the first packet past the last range.  An ACK whose
         ranges all end at or below the oldest packet costs no walk.
+
+        An ACK equal to the last one handled, and covering only packets
+        sent before that one was, acknowledges nothing: the first one
+        resolved every packet they cover.  Most ACKs that acknowledge
+        nothing are such repeats (the peer acks each data packet while
+        the requests an on-path adversary holds sit in the holes), so
+        they return before the walk visits the held records.
         """
         sent = self._sent
         if not sent or not ack_ranges:
             return
         last_end = ack_ranges[-1][1]
+        if ack_ranges == self._handled_ack and last_end <= self._handled_below:
+            return
+        self._handled_ack = ack_ranges
+        self._handled_below = self._next_pn
         oldest = next(iter(sent))
         if oldest >= last_end:
             return

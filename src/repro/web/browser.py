@@ -12,7 +12,8 @@ priority (earliest scheduled) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.h2.client import H2Client, ResponseHandle
 from repro.h2.errors import H2ErrorCode
@@ -82,6 +83,10 @@ class Browser:
         self._pending_image_wave: List[ScheduledRequest] = []
         self.broken = False
         self.handles_by_object: Dict[str, List[ResponseHandle]] = {}
+        #: Scheduled objects with a completed handle; the page is complete
+        #: when it holds all ``_object_count`` of them.
+        self._completed_objects: Set[str] = set()
+        self._object_count = len({request.obj.object_id for request in schedule})
         self._request_paths: Dict[int, ScheduledRequest] = {}
         self.on_page_complete: Optional[Callable[[], None]] = None
         self._completed_notified = False
@@ -118,8 +123,7 @@ class Browser:
         handle = self.client.get(
             request.obj.path, priority_weight=request.priority_weight
         )
-        handle.on_complete = self._on_object_complete
-        self.handles_by_object.setdefault(request.obj.object_id, []).append(handle)
+        self._track(request.obj.object_id, handle)
         self._record(
             "browser.request", _REQUEST_KEYS, (request.obj.path, self._next_index)
         )
@@ -137,14 +141,11 @@ class Browser:
                 continue
             if handle.reset:
                 continue
-            known = self.handles_by_object.setdefault(
-                request.obj.object_id, []
-            )
-            if handle not in known:
-                known.append(handle)
-                handle.on_complete = self._on_object_complete
+            object_id = request.obj.object_id
+            if handle not in self.handles_by_object.setdefault(object_id, []):
+                self._track(object_id, handle)
                 if handle.complete:
-                    self._on_object_complete(handle)
+                    self._on_object_complete(object_id, handle)
             self._record("browser.push_adopted", _PATH_KEYS, (request.obj.path,))
             return handle
         return None
@@ -153,7 +154,13 @@ class Browser:
     # Completion tracking
     # ------------------------------------------------------------------
 
-    def _on_object_complete(self, handle: ResponseHandle) -> None:
+    def _track(self, object_id: str, handle: ResponseHandle) -> None:
+        """Count ``handle``'s completion toward scheduled ``object_id``."""
+        self.handles_by_object.setdefault(object_id, []).append(handle)
+        handle.on_complete = partial(self._on_object_complete, object_id)
+
+    def _on_object_complete(self, object_id: str, handle: ResponseHandle) -> None:
+        self._completed_objects.add(object_id)
         if self.page_complete and not self._completed_notified:
             self._completed_notified = True
             self._record("browser.page_complete")
@@ -163,23 +170,18 @@ class Browser:
     @property
     def page_complete(self) -> bool:
         """True when every scheduled object has completed at least once."""
-        if self._next_index < len(self.schedule):
-            return False
-        for request in self.schedule:
-            handles = self.handles_by_object.get(request.obj.object_id, [])
-            if not any(h.complete for h in handles):
-                return False
-        return True
+        return (
+            self._next_index >= len(self.schedule)
+            and len(self._completed_objects) == self._object_count
+        )
 
     @property
     def missing_objects(self) -> List[ScheduledRequest]:
         """Scheduled requests whose object has not completed yet."""
-        missing = []
-        for request in self.schedule:
-            handles = self.handles_by_object.get(request.obj.object_id, [])
-            if not any(h.complete for h in handles):
-                missing.append(request)
-        return missing
+        return [
+            request for request in self.schedule
+            if request.obj.object_id not in self._completed_objects
+        ]
 
     # ------------------------------------------------------------------
     # Stall detection and reset-and-retry
@@ -270,16 +272,15 @@ class Browser:
             # The reloaded page was pushed this object again; no
             # request needed (and none leaks onto the wire).
             return
-        handles = self.handles_by_object.get(request.obj.object_id, [])
-        if any(h.complete for h in handles) or any(
-            not h.finished for h in handles
+        object_id = request.obj.object_id
+        if object_id in self._completed_objects or any(
+            not h.finished for h in self.handles_by_object.get(object_id, [])
         ):
             return
         handle = self.client.get(
             request.obj.path, priority_weight=request.priority_weight
         )
-        handle.on_complete = self._on_object_complete
-        self.handles_by_object.setdefault(request.obj.object_id, []).append(handle)
+        self._track(object_id, handle)
         self._record("browser.rerequest", _PATH_KEYS, (request.obj.path,))
 
     def _record(self, category: str, keys: tuple = (), values: tuple = ()) -> None:
