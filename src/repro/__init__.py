@@ -84,10 +84,14 @@ def quick_attack(
         The scored :class:`~repro.core.sequence.SequenceAttackResult`.
     """
     from repro.core.adversary import AdversaryConfig
-    from repro.experiments.harness import TrialConfig, run_trial
+    from repro.experiments.harness import (
+        TrialConfig,
+        collector_paused,
+        run_trial,
+    )
     from repro.web.workload import VolunteerWorkload
 
     workload = VolunteerWorkload(seed=seed)
     config = TrialConfig(adversary=adversary or AdversaryConfig())
-    outcome = run_trial(trial, workload, config)
-    return outcome.analyze()
+    with collector_paused(), run_trial(trial, workload, config) as outcome:
+        return outcome.analyze()

@@ -365,7 +365,11 @@ def evaluate_page_full(
     """
     from repro.core.adversary import AdversaryConfig
     from repro.core.predictor import SizePredictor
-    from repro.experiments.harness import TrialConfig, run_load
+    from repro.experiments.harness import (
+        TrialConfig,
+        collector_paused,
+        run_load,
+    )
     from repro.web.generator import generate_site_from_spec
 
     site = generate_site_from_spec(rng, spec)
@@ -376,7 +380,7 @@ def evaluate_page_full(
         tolerance_abs=model.tolerance_abs,
         tolerance_rel=model.tolerance_rel,
     )
-    with run_load(
+    with collector_paused(), run_load(
         site,
         rng,
         TrialConfig(

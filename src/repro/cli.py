@@ -13,9 +13,10 @@ reads; ``repro <command> --help`` lists them.  Flags that several
 commands share are declared once, as parent parsers:
 
 * ``--transport``: every command (it exports ``REPRO_TRANSPORT``);
-* ``--seed --workers --profile``: every command but verify and chaos;
-* ``--trials``: the paper-experiment commands (all but campaign,
-  infer, verify and chaos);
+* ``--seed``: every command but verify and chaos;
+* ``--profile``: those, but profile (which always profiles);
+* ``--workers``: those, but attack (one trial);
+* ``--trials``: those, but campaign and infer;
 * ``--sessions --shard-size --checkpoint-dir --json``: campaign, infer;
 * ``--reps --defenses --classifiers --max-objects``: infer-study, infer.
 
@@ -47,12 +48,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.transport import TRANSPORT_ENV
 
         os.environ[TRANSPORT_ENV] = args.transport
-    if not getattr(args, "profile", False) or args.command == "profile":
+    if not getattr(args, "profile", False):
         return args.run(args)
 
     from repro import profiling
 
-    if args.workers > 1:
+    if getattr(args, "workers", 1) > 1:
         print("repro: note: --profile with --workers > 1 only observes the "
               "parent process; use the serial executor for full coverage",
               file=sys.stderr)
@@ -125,18 +126,20 @@ def _add_commands(commands) -> None:
              "tcp): the paper's byte stream, whose head-of-line blocking "
              "the attack exploits, or QUIC-like per-stream recovery",
     )
-    runs = _flags(transport)
-    runs.add_argument("--seed", type=int, default=7,
-                      help="workload master seed (default %(default)s)")
+    seeded = _flags(transport)
+    seeded.add_argument("--seed", type=int, default=7,
+                        help="workload master seed (default %(default)s)")
+    profiled = _flags(seeded)
+    profiled.add_argument(
+        "--profile", action="store_true",
+        help="per-subsystem counters and timers, reported on stderr "
+             "(stdout stays byte-identical)",
+    )
+    runs = _flags(profiled)
     runs.add_argument(
         "--workers", type=int,
         help="worker processes (default: REPRO_WORKERS, else 1 = serial); "
              "results are identical for any worker count",
-    )
-    runs.add_argument(
-        "--profile", action="store_true",
-        help="per-subsystem counters and timers, reported on stderr "
-             "(stdout stays byte-identical)",
     )
     paper = _flags(runs)
     paper.add_argument(
@@ -210,11 +213,12 @@ def _add_commands(commands) -> None:
          "headline numbers, paper vs measured (exit 1 if a shape fails)"),
         ("transport-study", _table("transport_study", floor=2, divisor=8),
          "E18: the attack over each transport"),
-        ("profile", _run_profile, "hot-path profile of reference slices"),
     ):
         add(name, run, help_text, paper)
+    add("profile", _run_profile, "hot-path profile of reference slices",
+        seeded)
     attack = add("attack", _run_attack, "one annotated attacked session",
-                 paper)
+                 profiled)
     attack.add_argument("--trial", type=_count, default=0,
                         help="volunteer index (default %(default)s)")
     robustness = add("robustness-study", _run_robustness_study,
@@ -405,15 +409,17 @@ def _run_profile(args) -> int:
 def _run_attack(args) -> int:
     """One annotated attacked session (the quickstart, inline)."""
     from repro import AdversaryConfig, TrialConfig, VolunteerWorkload, run_trial
+    from repro.experiments.harness import collector_paused
     from repro.web.isidewith import HTML_OBJECT_ID
 
     trial = args.trial
     workload = VolunteerWorkload(seed=args.seed)
-    outcome = run_trial(trial, workload, TrialConfig(adversary=AdversaryConfig()))
-    analysis = outcome.analyze()
-    print(f"session #{trial}: completed={outcome.completed} "
-          f"duration={outcome.duration:.1f}s "
-          f"resets={outcome.browser.resets_sent}")
+    config = TrialConfig(adversary=AdversaryConfig())
+    with collector_paused(), run_trial(trial, workload, config) as outcome:
+        analysis = outcome.analyze()
+        print(f"session #{trial}: completed={outcome.completed} "
+              f"duration={outcome.duration:.1f}s "
+              f"resets={outcome.browser.resets_sent}")
     html = analysis.single_object[HTML_OBJECT_ID]
     print(f"HTML: identified={html.identified} degree0={html.degree_zero} "
           f"success={html.success}")

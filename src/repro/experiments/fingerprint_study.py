@@ -20,7 +20,12 @@ from repro.core.estimator import SizeEstimator
 from repro.core.fingerprint import PageFingerprinter, trace_features
 from repro.core.monitor import TrafficMonitor
 from repro.experiments.executor import TrialExecutor
-from repro.experiments.harness import SpacingSetup, TrialConfig, run_load
+from repro.experiments.harness import (
+    SpacingSetup,
+    TrialConfig,
+    collector_paused,
+    run_load,
+)
 from repro.experiments.report import format_table, percentage
 from repro.simkernel.randomstream import RandomStreams
 from repro.web.objects import WebObject
@@ -90,7 +95,7 @@ def _visit(
         ),
         horizon=30.0,
     )
-    with run_load(page, rng, config) as result:
+    with collector_paused(), run_load(page, rng, config) as result:
         return result.monitor
 
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.adversary import AdversaryConfig
 from repro.experiments.executor import TrialExecutor
-from repro.experiments.harness import TrialConfig, run_load
+from repro.experiments.harness import TrialConfig, collector_paused, run_load
 from repro.experiments.report import format_table, percentage
 from repro.simkernel.randomstream import RandomStreams
 from repro.web.generator import GeneratedSite, generate_site
@@ -56,7 +56,7 @@ def run_generated_trial(
             escalated_jitter=escalated_spacing,
         )
     )
-    with run_load(site, rng, config, trial) as result:
+    with collector_paused(), run_load(site, rng, config, trial) as result:
         serialized, match = result.score_target(site.target_object_id)
     return site, serialized, match is not None
 

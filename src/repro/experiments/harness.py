@@ -19,15 +19,18 @@ that ran the trial), this module defines the picklable
 extracted worker-side so trials can run in a process pool (see
 :mod:`repro.experiments.executor`).  Whoever reads a result last
 releases it (:meth:`TrialResult.release`), so a finished load is freed
-by reference counting instead of by a full cyclic collection.
+by reference counting instead of by a full cyclic collection; a caller
+that runs a load and releases it in one block does so under
+:func:`collector_paused`, since the collector has nothing to free there.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import profiling
 from repro.tcp.config import TCPConfig
@@ -430,6 +433,30 @@ def summarize_result(result: "TrialResult", analyze: bool = True) -> TrialSummar
     )
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Turn the cyclic collector off for a ``with`` block, then restore
+    the state it was found in (exceptions included).
+
+    Enter it before a load and leave it after the load's result is
+    released: a released trial is freed by reference counting, so
+    every collector pass during the load walks live objects and frees
+    none, and on the way out the allocation count is back near where
+    it started, so no catch-up pass fires.  :func:`run_load` does not
+    pause by itself, since a caller that keeps its result would leave
+    the collector off, and a pause that ended with the load would still
+    pay a young pass over the live trial at re-enable.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def summarize_trial(
     trial: int,
     workload: VolunteerWorkload,
@@ -438,7 +465,7 @@ def summarize_trial(
 ) -> TrialSummary:
     """Run one trial and return its picklable summary (the trial itself
     is released, see :meth:`TrialResult.release`)."""
-    with run_trial(trial, workload, config) as result:
+    with collector_paused(), run_trial(trial, workload, config) as result:
         return summarize_result(result, analyze=analyze)
 
 

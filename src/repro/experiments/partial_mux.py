@@ -22,7 +22,12 @@ from repro.core.analysis import PartialMultiplexingAnalyzer
 from repro.core.estimator import SizeEstimator
 from repro.core.predictor import SizePredictor
 from repro.experiments.executor import TrialExecutor
-from repro.experiments.harness import SpacingSetup, TrialConfig, run_trial
+from repro.experiments.harness import (
+    SpacingSetup,
+    TrialConfig,
+    collector_paused,
+    run_trial,
+)
 from repro.experiments.report import format_table, percentage
 from repro.web.workload import VolunteerWorkload
 
@@ -56,7 +61,7 @@ class _PartialMuxTrial:
     def __call__(self, trial: int) -> Tuple[int, int, int]:
         workload = VolunteerWorkload(seed=self.seed)
         config = TrialConfig(controller_setup=SpacingSetup(self.spacing))
-        with run_trial(trial, workload, config) as outcome:
+        with collector_paused(), run_trial(trial, workload, config) as outcome:
             site = outcome.site
             estimates = SizeEstimator().estimate(
                 outcome.monitor.response_packets()

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.adversary import AdversaryConfig
 from repro.experiments.executor import TrialExecutor
-from repro.experiments.harness import TrialConfig, run_trial
+from repro.experiments.harness import TrialConfig, collector_paused, run_trial
 from repro.experiments.report import format_table, percentage
 from repro.transport import TRANSPORTS
 from repro.web.workload import VolunteerWorkload
@@ -76,7 +76,7 @@ class _TransportTrial:
         config = TrialConfig(
             adversary=AdversaryConfig(), transport=self.transport
         )
-        with run_trial(trial, workload, config) as outcome:
+        with collector_paused(), run_trial(trial, workload, config) as outcome:
             analysis = outcome.analyze()
             emblems = [f"emblem-{p}" for p in outcome.site.party_order]
             identified = sum(

@@ -28,12 +28,11 @@ profile with the default serial executor.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 
 class Profiler:
@@ -95,28 +94,6 @@ class Profiler:
             for name in ("sim.events", "net.packets", "h2.frames_sent")
             if name in self.counters
         }
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data view (counters, timers, gauges, rates) for JSON."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "timers_s": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.timers.items())
-            },
-            "gauges": {
-                name: round(value, 1)
-                for name, value in sorted(self.gauges.items())
-            },
-            "rates": {
-                name: round(value, 1) for name, value in self.rates().items()
-            },
-        }
-
-    def to_json(self, **extra: Any) -> str:
-        payload = self.snapshot()
-        payload.update(extra)
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def render(self) -> str:
         """Human-readable report."""

@@ -9,9 +9,9 @@ Three layers:
   determinism matrix, CI, the recovery test) must parse, and every
   ``--help`` must render;
 * every command must dispatch, exit 0 and print something at the
-  smallest profile (``--trials 1 --workers 1``).  Heavy choices
-  (multi-study sweeps, the verify harness) carry the ``slow`` marker
-  and run in the nightly job.
+  smallest profile (``--trials 1 --workers 1``; attack and profile
+  take neither).  Heavy choices (multi-study sweeps, the verify
+  harness) carry the ``slow`` marker and run in the nightly job.
 """
 
 import re
@@ -66,6 +66,12 @@ BAD_COMBOS = [
     (["chaos", "--seed", "3"], "--seed"),
     (["campaign", "--trials", "3"], "--trials"),
     (["infer", "--trials", "3"], "--trials"),
+    # attack runs one trial in process; profile runs its fixed slices.
+    (["attack", "--trials", "5"], "--trials"),
+    (["attack", "--workers", "2"], "--workers"),
+    (["profile", "--trials", "3"], "--trials"),
+    (["profile", "--workers", "2"], "--workers"),
+    (["profile", "--profile"], "--profile"),  # it always profiles
     (["campaign", "--sess", "10"], "--sess"),  # no abbreviations
 ]
 
@@ -209,10 +215,16 @@ FAST_EXPERIMENTS = [
 SLOW_EXPERIMENTS = ["ablations", "streaming", "generalization"]
 
 
+#: The fast experiments that take neither ``--trials`` nor ``--workers``.
+SINGLE_RUN = ("attack", "profile")
+
+
 @pytest.mark.parametrize("experiment", FAST_EXPERIMENTS)
 def test_experiment_smoke(capsys, experiment):
-    code, out = _smoke(capsys, [experiment, "--trials", "1",
-                                "--workers", "1"])
+    argv = [experiment]
+    if experiment not in SINGLE_RUN:
+        argv += ["--trials", "1", "--workers", "1"]
+    code, out = _smoke(capsys, argv)
     assert code == 0
     assert out.strip()
 
