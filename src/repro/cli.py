@@ -15,8 +15,9 @@ commands share are declared once, as parent parsers:
 * ``--transport``: every command (it exports ``REPRO_TRANSPORT``);
 * ``--seed``: every command but verify and chaos;
 * ``--profile``: those, but profile (which always profiles);
-* ``--workers``: those, but attack (one trial);
-* ``--trials``: those, but campaign and infer;
+* ``--workers``: those, but attack and fig1 (one load each);
+* ``--trials``: those, but campaign, infer and fingerprint (whose page
+  set is fixed);
 * ``--sessions --shard-size --checkpoint-dir --json``: campaign, infer;
 * ``--reps --defenses --classifiers --max-objects``: infer-study, infer.
 
@@ -192,6 +193,9 @@ def _add_commands(commands) -> None:
         parser.set_defaults(run=run)
         return parser
 
+    # fig1 runs one fixed load and fingerprint a fixed page set: neither
+    # reads --trials, and fig1 runs no trial executor.
+    scoped = {"fig1": profiled, "fingerprint": runs}
     for name, run, help_text in (
         ("baseline", _table("baseline"), "E2: baseline multiplexing"),
         ("table1", _table("table1"), "E3 / Table I: effect of jitter"),
@@ -214,7 +218,7 @@ def _add_commands(commands) -> None:
         ("transport-study", _table("transport_study", floor=2, divisor=8),
          "E18: the attack over each transport"),
     ):
-        add(name, run, help_text, paper)
+        add(name, run, help_text, scoped.get(name, paper))
     add("profile", _run_profile, "hot-path profile of reference slices",
         seeded)
     attack = add("attack", _run_attack, "one annotated attacked session",

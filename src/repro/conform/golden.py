@@ -1,7 +1,8 @@
 """Golden-master stdout digests for every experiment (``repro verify``).
 
 Each registered experiment runs at a fixed *quick profile* (small trial
-counts, the default seed, ``--workers 1``) with stdout captured via
+counts, the default seed, ``--workers 1`` where the command takes it)
+with stdout captured via
 :func:`repro.experiments.executor.capture_stdout`.  The SHA-256 of the
 captured text is compared against the checked-in ``golden.json``; a
 mismatch fails the check *naming the experiment* and showing a unified
@@ -59,12 +60,12 @@ PERTURB_ENV = "REPRO_GOLDEN_PERTURB"
 #: Experiment name -> CLI argv at the quick profile.  Workers are
 #: pinned to 1 so a ``REPRO_WORKERS`` in the environment cannot change
 #: what the digests describe (the determinism matrix covers parallel
-#: execution separately).
+#: execution separately); fig1 runs one load and takes no ``--workers``.
 EXPERIMENTS: Dict[str, List[str]] = {
     "baseline": ["baseline", "--trials", "2", "--workers", "1"],
     "table1": ["table1", "--trials", "2", "--workers", "1"],
     "table2": ["table2", "--trials", "2", "--workers", "1"],
-    "fig1": ["fig1", "--workers", "1"],
+    "fig1": ["fig1"],
     "fig5": ["fig5", "--trials", "2", "--workers", "1"],
     "fig6": ["fig6", "--trials", "2", "--workers", "1"],
     "delay": ["delay", "--trials", "2", "--workers", "1"],

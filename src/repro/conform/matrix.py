@@ -6,7 +6,8 @@ produce bit-identical stdout:
 * **serial** — the golden layer's capture (``--workers 1``), reused as
   the reference;
 * **workers-4** — the same argv with ``--workers 4``: long-lived
-  spawn workers, each fed one trial at a time, must not change a byte;
+  spawn workers, each fed one trial at a time, must not change a byte
+  (for the commands that take ``--workers``; fig1 runs one load);
 * **kill+resume** — the run is checkpointed, the checkpoint is
   truncated to a strict prefix (simulating a kill partway through),
   and the re-run must still match the reference.  The robustness study
@@ -159,6 +160,7 @@ def run_checks(
             section.add(f"matrix:{name}", False,
                         "no serial reference (golden capture failed)")
             continue
-        _workers_cell(section, name, reference)
+        if "--workers" in EXPERIMENTS[name]:
+            _workers_cell(section, name, reference)
         _resume_cell(section, name, reference)
     return section

@@ -97,6 +97,9 @@ class H2Connection:
         name: str = "",
     ) -> None:
         self._session = session
+        # Resolved once: the pump and every trace row read them.
+        self._transport = session.connection
+        self._sim = self._transport.sim
         self.role = role
         self.settings = settings or H2Settings()
         self.peer_settings = H2Settings()
@@ -154,7 +157,7 @@ class H2Connection:
                 previous_complete()
             self._start()
         session.on_handshake_complete = handshake_done
-        session.connection.on_writable = self.pump
+        self._transport.on_writable = self.pump
 
     @property
     def session(self) -> TLSSession:
@@ -162,7 +165,7 @@ class H2Connection:
 
     @property
     def sim(self):
-        return self._session.connection.sim
+        return self._sim
 
     # ------------------------------------------------------------------
     # Startup
@@ -331,8 +334,8 @@ class H2Connection:
         """Drain the scheduler into TLS/TCP while buffer space allows."""
         if not self.ready or not self._session.handshake_complete:
             return
-        connection = self._session.connection
-        while connection.unacked_buffered_bytes < self.send_buffer_limit:
+        transport = self._transport
+        while transport.unacked_buffered_bytes < self.send_buffer_limit:
             frame = self.scheduler.next_frame(eligible=self._can_send)
             if frame is None:
                 break
@@ -409,7 +412,7 @@ class H2Connection:
         trace = self._trace
         if trace is not None:
             trace.record(
-                self.sim.now,
+                self._sim.now,
                 "h2.frame.sent",
                 _FRAME_SENT_KEYS,
                 (self.name, frame.type_name, frame.stream_id, wire_length),
@@ -429,7 +432,7 @@ class H2Connection:
         trace = self._trace
         if trace is not None:
             trace.record(
-                self.sim.now,
+                self._sim.now,
                 "h2.frame.received",
                 _FRAME_RECEIVED_KEYS,
                 (self.name, payload.type_name, payload.stream_id, duplicate),
@@ -487,22 +490,21 @@ class H2Connection:
             self.on_data(frame.stream_id, frame.data_bytes, frame.end_stream, frame)
 
     def _consume_connection_credit(self, data_bytes: int) -> None:
-        available = self.connection_recv_window.available
-        self.connection_recv_window.consume(min(data_bytes, available))
-        if (
-            self.connection_recv_window.available
-            < self._recv_window_initial // 2
-        ):
-            deficit = self._recv_window_initial - self.connection_recv_window.available
-            self.send_window_update(0, deficit)
+        window = self.connection_recv_window
+        available = window.available
+        consumed = min(data_bytes, available)
+        window.consume(consumed)
+        available -= consumed
+        if available < self._recv_window_initial // 2:
+            self.send_window_update(0, self._recv_window_initial - available)
 
     def _replenish_stream_window(self, stream: H2Stream) -> None:
         if stream.closed:
             return
         initial = self.settings.initial_window_size
-        if stream.receive_window.available < initial // 2:
-            deficit = initial - stream.receive_window.available
-            self.send_window_update(stream.stream_id, deficit)
+        available = stream.receive_window.available
+        if available < initial // 2:
+            self.send_window_update(stream.stream_id, initial - available)
 
     def _recv_settings(self, frame: SettingsFrame, duplicate: bool) -> None:
         if duplicate or frame.ack:
@@ -605,7 +607,7 @@ class H2Connection:
     def _record(self, category: str, keys: tuple, values: tuple) -> None:
         if self._trace is not None:
             self._trace.record(
-                self.sim.now, category, _CONN_KEYS + keys, (self.name,) + values
+                self._sim.now, category, _CONN_KEYS + keys, (self.name,) + values
             )
 
     def __repr__(self) -> str:

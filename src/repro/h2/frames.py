@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.h2.errors import H2ErrorCode
 from repro.hpack.codec import HeaderBlock
@@ -22,17 +22,25 @@ FRAME_HEADER_BYTES = 9
 
 _frame_ids = itertools.count(1)
 
-#: Per-class cache for :meth:`Frame.type_name` (computed once, not
-#: re-derived for every frame written and received).
-_TYPE_NAMES: Dict[type, str] = {}
-
 
 @dataclass(slots=True)
 class Frame:
-    """Base frame: stream 0 means connection-scoped."""
+    """Base frame: stream 0 means connection-scoped.
+
+    ``type_name`` is a class attribute, the class name without
+    ``Frame`` in upper case (``DataFrame`` → ``"DATA"``), set once per
+    class: the trace reads it for every frame written and received.
+    """
+
+    type_name: ClassVar[str] = ""
 
     stream_id: int = 0
     frame_id: int = field(default_factory=lambda: next(_frame_ids), init=False)
+
+    def __init_subclass__(cls) -> None:
+        # No ``super()``: ``slots=True`` rebuilds the class, and the
+        # zero-argument form would name the discarded one.
+        cls.type_name = cls.__name__.replace("Frame", "").upper()
 
     @property
     def payload_length(self) -> int:
@@ -43,15 +51,6 @@ class Frame:
     def wire_length(self) -> int:
         """Total octets on the wire."""
         return FRAME_HEADER_BYTES + self.payload_length
-
-    @property
-    def type_name(self) -> str:
-        cls = type(self)
-        name = _TYPE_NAMES.get(cls)
-        if name is None:
-            name = cls.__name__.replace("Frame", "").upper()
-            _TYPE_NAMES[cls] = name
-        return name
 
     def __repr__(self) -> str:
         return (

@@ -10,8 +10,7 @@ symbolic instructions, which the paired decoder replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from repro.hpack.huffman import string_literal_length
 from repro.hpack.table import DynamicTable, HeaderField
@@ -34,9 +33,9 @@ def prefix_integer_length(value: int, prefix_bits: int) -> int:
     return octets + 1
 
 
-@dataclass(frozen=True)
-class _Instruction:
-    """One symbolic header-block instruction."""
+class _Instruction(NamedTuple):
+    """One symbolic header-block instruction (a named tuple, like
+    :class:`HeaderBlock`)."""
 
     kind: str  # "indexed" | "literal_indexed" | "literal"
     index: int  # table index (full or name match); 0 = literal name
@@ -44,9 +43,12 @@ class _Instruction:
     octets: int
 
 
-@dataclass(frozen=True)
-class HeaderBlock:
-    """An encoded header block: instructions plus total size."""
+class HeaderBlock(NamedTuple):
+    """An encoded header block: instructions plus total size.
+
+    A named tuple (one per HEADERS frame written): immutable, hashable,
+    and equal to any block of equal instructions and size.
+    """
 
     instructions: Tuple[_Instruction, ...]
     encoded_length: int

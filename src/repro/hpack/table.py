@@ -9,13 +9,16 @@ costs ``len(name) + len(value) + 32`` octets against the negotiated
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Deque, Dict, Hashable, Iterable, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class HeaderField:
-    """One header name/value pair."""
+class HeaderField(NamedTuple):
+    """One header name/value pair.
+
+    A named tuple (the encoder builds one per header it encodes): it is
+    immutable, and it hashes and compares like the plain ``(name,
+    value)`` tuple, so it is its own key in the tables' indexes.
+    """
 
     name: str
     value: str = ""
@@ -101,9 +104,7 @@ def _first_indices(keys: Iterable[Hashable]) -> Dict[Hashable, int]:
 
 
 #: (name, value) → static index of that exact field.
-_STATIC_FULL_INDEX = _first_indices(
-    (entry.name, entry.value) for entry in STATIC_TABLE
-)
+_STATIC_FULL_INDEX = _first_indices(STATIC_TABLE)
 #: name → first static index carrying that name.
 _STATIC_NAME_INDEX = _first_indices(entry.name for entry in STATIC_TABLE)
 
@@ -172,7 +173,7 @@ class DynamicTable:
         stamp = self._inserted
         self._inserted = stamp + 1
         self._entries.appendleft(field)
-        self._field_stamps[(field.name, field.value)] = stamp
+        self._field_stamps[field] = stamp
         self._name_stamps[field.name] = stamp
         self._size += table_size
         self._evict()
@@ -184,9 +185,8 @@ class DynamicTable:
             stamp = self._inserted - len(entries)
             evicted = entries.pop()
             self._size -= evicted.table_size
-            key = (evicted.name, evicted.value)
-            if self._field_stamps[key] == stamp:
-                del self._field_stamps[key]
+            if self._field_stamps[evicted] == stamp:
+                del self._field_stamps[evicted]
             if self._name_stamps[evicted.name] == stamp:
                 del self._name_stamps[evicted.name]
 
@@ -202,15 +202,14 @@ class DynamicTable:
             the first static entry with the name, else the newest
             dynamic one.
         """
-        name = field.name
-        key = (name, field.value)
-        full_index = _STATIC_FULL_INDEX.get(key)
+        full_index = _STATIC_FULL_INDEX.get(field)
         if full_index is not None:
             return full_index, full_index
-        stamp = self._field_stamps.get(key)
+        stamp = self._field_stamps.get(field)
         if stamp is not None:
             full_index = len(STATIC_TABLE) + self._inserted - stamp
             return full_index, full_index
+        name = field.name
         name_index = _STATIC_NAME_INDEX.get(name)
         if name_index is None:
             stamp = self._name_stamps.get(name)

@@ -89,17 +89,20 @@ class PacketRecord(NamedTuple):
     ) -> "PacketRecord":
         """Build a record from a live packet (headers only).
 
-        A segment's flags are an interned ``frozenset``; each one is
-        sorted once and the tuple reused.  Most packets start no TLS
-        record, so their content-type and length tuples are the empty
-        tuple without a pass over the records.
+        The tap calls this once per packet, so the record is built from
+        its full field tuple by ``tuple.__new__``, without the generated
+        ``__new__`` call.  A segment's flags are an interned
+        ``frozenset``; each one is sorted once and the tuple reused.
+        Most packets start no TLS record, so their content-type and
+        length tuples are the empty tuple without a pass over the
+        records.
         """
         segment = packet.segment
         if segment is None:
-            return cls(
+            return _new_tuple(cls, (
                 time, direction, packet.packet_id, packet.wire_size,
                 packet.payload_bytes, (), 0, 0, (), (), dropped,
-            )
+            ))
         flags = segment.flags
         sorted_flags = _SORTED_FLAGS.get(flags)
         if sorted_flags is None:
@@ -116,7 +119,7 @@ class PacketRecord(NamedTuple):
             )
         else:
             content_types = lengths = ()
-        return cls(
+        return _new_tuple(cls, (
             time,
             direction,
             packet.packet_id,
@@ -128,11 +131,13 @@ class PacketRecord(NamedTuple):
             content_types,
             lengths,
             dropped,
-        )
+        ))
 
 
 #: Flag set → its sorted tuple (the interned TCP and QUIC flag sets).
 _SORTED_FLAGS: Dict[FrozenSet[str], Tuple[str, ...]] = {}
+
+_new_tuple = tuple.__new__
 
 
 class CaptureLog:

@@ -28,6 +28,9 @@ _SEND_KEYS = _PACKET_KEYS + ("arrival",)
 _FAULT_KEYS = ("fault",)
 _DUP_KEYS = ("arrival",)
 
+#: Deliveries fire before same-instant timers.
+_DELIVERY_PRIORITY = Simulator.PRIORITY_NORMAL
+
 
 @dataclass
 class LinkConfig:
@@ -57,23 +60,40 @@ class LinkConfig:
             raise ValueError("jitter must be non-negative")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError("loss rate must be in [0, 1)")
+        if self.queue_capacity < 1:
+            raise ValueError("queue capacity must be at least one packet")
 
 
 class LinkEnd:
-    """One end of a link; nodes hold this and call :meth:`send`."""
+    """One end of a link; nodes hold this and call :attr:`send`.
+
+    Attributes:
+        send: transmit a packet toward the opposite end — the link's
+            transmit bound to this end, so a send is one call.
+        handler: the attached node or middlebox side (a
+            ``PacketHandler``), or None.
+        receive: what the link delivers an arriving packet to: the
+            handler's ``on_packet``, or, while no handler is attached,
+            a method that raises :class:`RuntimeError`.  A transmit
+            binds its delivery to the receive current at send time.
+    """
 
     def __init__(self, link: "Link", index: int) -> None:
         self._link = link
         self._index = index
-        self.handler = None  # PacketHandler, attached by the node
+        self.send = partial(link._transmit, index)
+        self.handler = None
+        self.receive = self._unattached
 
     def attach(self, handler) -> None:
-        """Bind the node (or middlebox) that receives from this end."""
+        """Bind the node (or middlebox side) that receives from this end."""
         self.handler = handler
+        self.receive = handler.on_packet
 
-    def send(self, packet: Packet) -> None:
-        """Transmit ``packet`` toward the opposite end."""
-        self._link._transmit(packet, self._index)
+    def _unattached(self, packet: Packet) -> None:
+        raise RuntimeError(
+            f"link {self._link.name!r}: no handler attached at receiving end"
+        )
 
     @property
     def link(self) -> "Link":
@@ -126,6 +146,10 @@ class Link:
                 f"link {name!r}: a FaultSchedule requires an rng"
             )
         self._sim = sim
+        # Deliveries go straight onto the event queue: an arrival is
+        # never earlier than now (see ``_transmit``), so the past-time
+        # check of ``Simulator.schedule_at`` has nothing to catch.
+        self._push = sim.push
         self.config = config
         self._trace = trace
         self.name = name
@@ -146,6 +170,8 @@ class Link:
         # bytes-per-second value is bit-identical to transmission_delay()
         # (which computes size / (bps / 8.0) on every call).
         self._bytes_per_second = config.bandwidth_bps / 8.0
+        self._propagation_delay = config.propagation_delay
+        self._queue_capacity = config.queue_capacity
         # The loss and jitter substreams, resolved once.  A substream is
         # seeded from its name alone, so resolving it early draws
         # nothing; a link without the setting never creates one.
@@ -158,7 +184,7 @@ class Link:
             rng.stream(f"{name}.jitter") if config.jitter > 0 else None
         )
 
-    def _transmit(self, packet: Packet, from_index: int) -> None:
+    def _transmit(self, from_index: int, packet: Packet) -> None:
         direction = self._directions[from_index]
         now = self._sim.now
         busy_until = direction.busy_until
@@ -190,7 +216,7 @@ class Link:
             if backlog_time > 0.0 and serialization > 0
             else 0
         )
-        if backlog_packets >= self.config.queue_capacity:
+        if backlog_packets >= self._queue_capacity:
             direction.dropped += 1
             self._record("link.drop.queue", packet, from_index)
             return
@@ -201,11 +227,14 @@ class Link:
             self._record("link.drop.loss", packet, from_index)
             return
 
+        # The arrival is never earlier than now: busy_until >= now, the
+        # delays added to it are non-negative, and the clamp below only
+        # raises it.
         start = now if now > busy_until else busy_until
         busy_until = start + serialization
         direction.busy_until = busy_until
         jitter_stream = self._jitter_stream
-        arrival = busy_until + self.config.propagation_delay + (
+        arrival = busy_until + self._propagation_delay + (
             jitter_stream.uniform(0.0, self._jitter)
             if jitter_stream is not None
             else 0.0
@@ -220,10 +249,9 @@ class Link:
             direction.last_arrival = arrival
         direction.sent += 1
 
-        # The receiving end's handler is looked up at delivery, not now.
         to_end = self.b if from_index == 0 else self.a
-        deliver = partial(self._deliver, to_end, packet)
-        self._sim.schedule_at(arrival, deliver)
+        deliver = partial(to_end.receive, packet)
+        self._push(arrival, _DELIVERY_PRIORITY, deliver)
         if effect is not None and effect.duplicate:
             # A duplicated packet follows its original back-to-back.
             dup_arrival = arrival + serialization
@@ -232,7 +260,7 @@ class Link:
             if dup_arrival > direction.last_arrival:
                 direction.last_arrival = dup_arrival
             direction.duplicated += 1
-            self._sim.schedule_at(dup_arrival, deliver)
+            self._push(dup_arrival, _DELIVERY_PRIORITY, deliver)
             self._record(
                 "link.dup", packet, from_index, _DUP_KEYS, (dup_arrival,)
             )
@@ -245,13 +273,6 @@ class Link:
                 (self.name, from_index, packet.packet_id, packet.wire_size,
                  arrival),
             )
-
-    def _deliver(self, end: LinkEnd, packet: Packet) -> None:
-        if end.handler is None:
-            raise RuntimeError(
-                f"link {self.name!r}: no handler attached at receiving end"
-            )
-        end.handler.on_packet(packet)
 
     def _record(
         self,

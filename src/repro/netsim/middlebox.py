@@ -86,14 +86,12 @@ class PacketFilter(Protocol):
 
 
 class _IngressAdapter:
-    """Tags arriving packets with the direction they entered from."""
+    """The packet handler of one middlebox side: its ``on_packet`` is
+    the middlebox's ``_ingress`` bound to the direction that packets
+    arriving there travel in, so a delivery is one call."""
 
     def __init__(self, middlebox: "Middlebox", direction: Direction) -> None:
-        self._middlebox = middlebox
-        self._direction = direction
-
-    def on_packet(self, packet: Packet) -> None:
-        self._middlebox._ingress(packet, self._direction)
+        self.on_packet = partial(middlebox._ingress, direction)
 
 
 class Middlebox:
@@ -185,7 +183,7 @@ class Middlebox:
 
     # Forwarding -----------------------------------------------------------
 
-    def _ingress(self, packet: Packet, direction: Direction) -> None:
+    def _ingress(self, direction: Direction, packet: Packet) -> None:
         """Tap, filter and release one arriving packet.
 
         A packet released at once — no fault effect, no filter delay, no

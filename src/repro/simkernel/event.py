@@ -183,13 +183,23 @@ class EventQueue:
         Returns None when the queue is empty or the earliest live event
         fires after ``until`` (the event stays queued).  This is the run
         loop's fast path: one heap traversal instead of a peek followed
-        by a pop.
+        by a pop, and a live head under its current key is taken as it
+        is (only a cancelled or postponed one goes through
+        :meth:`_head`).
         """
-        entry = self._head()
-        if entry is None or (until is not None and entry[0] > until):
+        heap = self._heap
+        if not heap:
             return None
-        heappop(self._heap)
+        entry = heap[0]
         event = entry[3]
+        if event.cancelled or entry[2] != event.sequence:
+            entry = self._head()
+            if entry is None:
+                return None
+            event = entry[3]
+        if until is not None and entry[0] > until:
+            return None
+        heappop(heap)
         event._queue = None
         return event
 
@@ -205,10 +215,16 @@ class EventQueue:
         Such an event would fire before one pushed now at ``(time,
         priority)``, which would take the next, largest sequence number.
         """
-        entry = self._head()
-        return entry is not None and (
-            entry[0] < time or (entry[0] == time and entry[1] <= priority)
-        )
+        heap = self._heap
+        if not heap:
+            return False
+        entry = heap[0]
+        event = entry[3]
+        if event.cancelled or entry[2] != event.sequence:
+            entry = self._head()
+            if entry is None:
+                return False
+        return entry[0] < time or (entry[0] == time and entry[1] <= priority)
 
     def clear(self) -> None:
         """Drop every pending event and the callback it holds.

@@ -24,9 +24,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        # Bound method, hoisted: schedule() runs hundreds of thousands
-        # of times per trial and the extra attribute hop is measurable.
-        self._push = self._queue.push
+        #: :meth:`EventQueue.push`, bound: ``push(time, priority,
+        #: callback)`` queues an event with no past-time check, for a
+        #: caller that guarantees ``time >= now`` (a link delivery).
+        #: :meth:`schedule`, :meth:`schedule_at` and :meth:`call_soon`
+        #: check their time, then call it.
+        self.push = self._queue.push
         #: Current simulated time, in seconds.  A plain attribute, read
         #: thousands of times per trial; only the run loop,
         #: :meth:`run_until` and :meth:`reset` write it.
@@ -71,7 +74,7 @@ class Simulator:
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        return self._push(self.now + delay, priority, callback)
+        return self.push(self.now + delay, priority, callback)
 
     def schedule_at(
         self,
@@ -88,11 +91,11 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        return self._push(time, priority, callback)
+        return self.push(time, priority, callback)
 
     def call_soon(self, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at the current instant (after pending work)."""
-        return self._push(self.now, self.PRIORITY_NORMAL, callback)
+        return self.push(self.now, self.PRIORITY_NORMAL, callback)
 
     def postpone(self, event: Event, time: float) -> None:
         """Move the pending ``event`` to absolute ``time``, no earlier

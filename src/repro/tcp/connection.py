@@ -291,12 +291,13 @@ class TCPConnection:
         ):
             return
         limit = self.send_window
-        layout = self.layout
+        # Sending queues packets and appends nothing to the layout.
+        next_seq = self.layout.next_seq
         mss = self.config.mss
         while True:
             snd_nxt = self.snd_nxt
             in_flight = snd_nxt - self.snd_una
-            available = layout.next_seq - snd_nxt
+            available = next_seq - snd_nxt
             if available <= 0 or in_flight >= limit:
                 break
             scoreboard = self._sack_scoreboard
@@ -345,20 +346,23 @@ class TCPConnection:
         return self.reassembly.first_ranges(3)
 
     def _send_data_segment(self, seq: int, length: int, retransmission: bool) -> None:
-        spans = self.layout.spans_starting_in(seq, seq + length)
+        layout = self.layout
+        spans = layout.spans_starting_in(seq, seq + length)
+        config = self.config
         sack_blocks = self._own_sack_blocks()
+        # Positional: a keyword call costs more than the constructor.
         segment = TCPSegment(
-            seq=seq,
-            ack=self.reassembly.rcv_nxt,
-            flags=FLAGS_ACK,
-            payload_bytes=length,
-            window=self.config.receive_window,
-            option_bytes=self.config.option_bytes
+            seq,
+            self.reassembly.rcv_nxt,  # ack
+            FLAGS_ACK,
+            length,
+            config.receive_window,
+            config.option_bytes
             + (2 + 8 * len(sack_blocks) if sack_blocks else 0),
-            layout=self.layout,
-            tls_records=tuple([span.message for span in spans]),
-            is_retransmission=retransmission,
-            sack_blocks=sack_blocks,
+            layout,
+            tuple([span.message for span in spans]),  # tls_records
+            retransmission,
+            sack_blocks,
         )
         self._transmit(segment)
         self.snd_max = max(self.snd_max, seq + length)
@@ -625,16 +629,20 @@ class TCPConnection:
         seq = self.snd_nxt
         if FIN in flags and self._fin_seq is not None:
             seq = self._fin_seq  # retransmitted FINs keep their number
+        config = self.config
         sack_blocks = self._own_sack_blocks()
         segment = TCPSegment(
-            seq=seq,
-            ack=self.reassembly.rcv_nxt,
-            flags=flags,
-            payload_bytes=0,
-            window=self.config.receive_window,
-            option_bytes=self.config.option_bytes
+            seq,
+            self.reassembly.rcv_nxt,  # ack
+            flags,
+            0,  # payload_bytes
+            config.receive_window,
+            config.option_bytes
             + (2 + 8 * len(sack_blocks) if sack_blocks else 0),
-            sack_blocks=sack_blocks,
+            None,  # layout
+            (),  # tls_records
+            False,  # is_retransmission
+            sack_blocks,
         )
         self._transmit(segment)
 

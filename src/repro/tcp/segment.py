@@ -18,7 +18,6 @@ combination to its interned instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Iterable, Optional, Tuple
 
 SYN = "SYN"
@@ -69,30 +68,67 @@ def flag_set(flags: Iterable[str]) -> FrozenSet[str]:
     return frozen
 
 
-@dataclass(slots=True)
 class TCPSegment:
-    """One TCP segment (header plus symbolic payload)."""
+    """One TCP segment (header plus symbolic payload).
 
-    seq: int
-    ack: int
-    flags: FrozenSet[str]
-    payload_bytes: int = 0
-    window: int = 1 << 20
-    option_bytes: int = 12
-    layout: Optional[Any] = None  # StreamLayout of the sender
-    tls_records: Tuple[Any, ...] = field(default_factory=tuple)
-    is_retransmission: bool = False
-    #: SACK blocks: the receiver's out-of-order ranges (up to 3, as the
-    #: option space allows).  Empty when SACK is off or unnecessary.
-    sack_blocks: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
+    A slotted class with one plain ``__init__``, like
+    :class:`~repro.netsim.packet.Packet`: every packet a trial sends
+    carries one, so construction does no dataclass machinery.  Segments
+    compare by identity.
 
-    def __post_init__(self) -> None:
+    Attributes:
+        seq, ack: sequence and acknowledgement numbers.
+        flags: control flags (an interned ``frozenset``, see
+            :func:`flag_set`).
+        payload_bytes: payload length; a data segment (non-zero length)
+            must reference ``layout``.
+        window: advertised receive window.
+        option_bytes: TCP option bytes counted into the header.
+        layout: the sender's :class:`~repro.transport.stream.StreamLayout`.
+        tls_records: TLS records *starting* in this segment.
+        is_retransmission: True for a resend of already-sent bytes.
+        sack_blocks: the receiver's out-of-order ranges (up to 3, as the
+            option space allows); empty when SACK is off or unnecessary.
+
+    Raises:
+        ValueError: for a negative payload length, or a data segment
+            without a layout.
+    """
+
+    __slots__ = (
+        "seq", "ack", "flags", "payload_bytes", "window", "option_bytes",
+        "layout", "tls_records", "is_retransmission", "sack_blocks",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        ack: int,
+        flags: FrozenSet[str],
+        payload_bytes: int = 0,
+        window: int = 1 << 20,
+        option_bytes: int = 12,
+        layout: Optional[Any] = None,
+        tls_records: Tuple[Any, ...] = (),
+        is_retransmission: bool = False,
+        sack_blocks: Tuple[Tuple[int, int], ...] = (),
+    ) -> None:
         # Single branch on the common pure-ACK path (payload_bytes == 0).
-        if self.payload_bytes != 0:
-            if self.payload_bytes < 0:
+        if payload_bytes != 0:
+            if payload_bytes < 0:
                 raise ValueError("payload length must be non-negative")
-            if self.layout is None:
+            if layout is None:
                 raise ValueError("data segments must reference a stream layout")
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.payload_bytes = payload_bytes
+        self.window = window
+        self.option_bytes = option_bytes
+        self.layout = layout
+        self.tls_records = tls_records
+        self.is_retransmission = is_retransmission
+        self.sack_blocks = sack_blocks
 
     @property
     def end_seq(self) -> int:

@@ -8,8 +8,7 @@ adversary reads, via the ``ssl.record.content_type == 23`` filter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.tls.cipher import AES_128_GCM_TLS12, CipherSpec
 
@@ -24,6 +23,9 @@ CHANGE_CIPHER_SPEC = 20
 ALERT = 21
 HANDSHAKE = 22
 APPLICATION_DATA = 23
+_CONTENT_TYPES = frozenset(
+    (CHANGE_CIPHER_SPEC, ALERT, HANDSHAKE, APPLICATION_DATA)
+)
 
 _record_ids = itertools.count(1)
 
@@ -50,9 +52,12 @@ def padded_length(length: int, block: int) -> int:
     return length + (-length % block)
 
 
-@dataclass
 class TLSRecord:
     """One TLS record: cleartext header plus opaque encrypted payload.
+
+    A slotted class with one plain ``__init__`` (one per record a trial
+    sends).  Records compare by identity; ids are drawn in construction
+    order, before the arguments are checked.
 
     Attributes:
         content_type: cleartext record type (23 = application data).
@@ -62,33 +67,40 @@ class TLSRecord:
             on-path observer, used only by the receiving endpoint and by
             ground-truth accounting.
         record_id: unique id for bookkeeping.
+        wire_length: total bytes this record occupies in the transport
+            stream (header plus ciphertext), computed once.
+
+    Raises:
+        ValueError: for a plaintext length outside
+            ``(0, MAX_PLAINTEXT_FRAGMENT]`` or an unknown content type.
     """
 
-    content_type: int
-    plaintext_length: int
-    cipher: CipherSpec = AES_128_GCM_TLS12
-    payload: Any = None
-    record_id: int = field(default_factory=lambda: next(_record_ids))
+    __slots__ = (
+        "content_type", "plaintext_length", "cipher", "payload",
+        "record_id", "wire_length",
+    )
 
-    def __post_init__(self) -> None:
-        if not (0 < self.plaintext_length <= MAX_PLAINTEXT_FRAGMENT):
+    def __init__(
+        self,
+        content_type: int,
+        plaintext_length: int,
+        cipher: CipherSpec = AES_128_GCM_TLS12,
+        payload: Any = None,
+    ) -> None:
+        self.content_type = content_type
+        self.plaintext_length = plaintext_length
+        self.cipher = cipher
+        self.payload = payload
+        self.record_id = next(_record_ids)
+        if not (0 < plaintext_length <= MAX_PLAINTEXT_FRAGMENT):
             raise ValueError(
-                f"plaintext length {self.plaintext_length} outside "
+                f"plaintext length {plaintext_length} outside "
                 f"(0, {MAX_PLAINTEXT_FRAGMENT}]"
             )
-        if self.content_type not in (
-            CHANGE_CIPHER_SPEC,
-            ALERT,
-            HANDSHAKE,
-            APPLICATION_DATA,
-        ):
-            raise ValueError(f"unknown content type {self.content_type}")
-
-    @property
-    def wire_length(self) -> int:
-        """Total bytes this record occupies in the TCP stream."""
-        return TLS_RECORD_HEADER_BYTES + self.cipher.ciphertext_length(
-            self.plaintext_length
+        if content_type not in _CONTENT_TYPES:
+            raise ValueError(f"unknown content type {content_type}")
+        self.wire_length = TLS_RECORD_HEADER_BYTES + cipher.ciphertext_length(
+            plaintext_length
         )
 
     @property

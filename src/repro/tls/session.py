@@ -102,6 +102,7 @@ class TLSSession:
                 f"pad_block {pad_block} must divide {MAX_PLAINTEXT_FRAGMENT}"
             )
         self._connection = connection
+        self._sim = connection.sim
         self.role = role
         self.cipher = cipher
         self._trace = trace
@@ -161,7 +162,7 @@ class TLSSession:
             self._connection.send_message(record, record.wire_length)
         if self._trace is not None:
             self._trace.record(
-                self._connection.sim.now,
+                self._sim.now,
                 "tls.send",
                 _SEND_KEYS,
                 (self.role.value, len(records), length),
@@ -191,7 +192,7 @@ class TLSSession:
         self._connection.send_message(record, record.wire_length)
         if self._trace is not None:
             self._trace.record(
-                self._connection.sim.now,
+                self._sim.now,
                 "tls.chaff",
                 _CHAFF_KEYS,
                 (self.role.value, sealed),

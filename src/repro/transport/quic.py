@@ -780,18 +780,20 @@ class QuicConnection:
         is_retransmission: bool,
     ) -> None:
         spans = self.layout.spans_starting_in(seq, seq + payload)
+        config = self.config
+        # Positional: a keyword call costs more than the constructor.
         datagram = QuicDatagram(
-            packet_number=self._next_pn,
-            seq=seq,
-            ack=self._pn_buffer.rcv_nxt,
-            flags=FLAGS_ONE_RTT,
-            payload_bytes=payload,
-            option_bytes=self.config.option_bytes,
-            window=self.config.receive_window,
-            chunks=chunks,
-            tls_records=tuple(span.message for span in spans),
-            ack_ranges=self._ack_ranges(),
-            is_retransmission=is_retransmission,
+            self._next_pn,
+            seq,
+            self._pn_buffer.rcv_nxt,  # ack
+            FLAGS_ONE_RTT,
+            payload,
+            config.option_bytes,
+            config.receive_window,
+            chunks,
+            tuple([span.message for span in spans]),  # tls_records
+            self._ack_ranges(),
+            is_retransmission,
         )
         self._sent[self._next_pn] = _SentPacket(
             chunks, payload, self._sim.now, is_retransmission
@@ -886,15 +888,18 @@ class QuicConnection:
         self._emit_control(FLAGS_ACK)
 
     def _emit_control(self, flags: frozenset) -> None:
+        config = self.config
         datagram = QuicDatagram(
-            packet_number=self._next_pn,
-            seq=self._wire_high,
-            ack=self._pn_buffer.rcv_nxt,
-            flags=flags,
-            payload_bytes=0,
-            option_bytes=self.config.option_bytes,
-            window=self.config.receive_window,
-            ack_ranges=self._ack_ranges(),
+            self._next_pn,
+            self._wire_high,  # seq
+            self._pn_buffer.rcv_nxt,  # ack
+            flags,
+            0,  # payload_bytes
+            config.option_bytes,
+            config.receive_window,
+            (),  # chunks
+            (),  # tls_records
+            self._ack_ranges(),
         )
         self._next_pn += 1
         self._transmit(datagram)

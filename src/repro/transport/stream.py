@@ -17,13 +17,15 @@ single layout type without depending on the TCP package.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class MessageSpan:
-    """A message occupying ``[start, end)`` in the sequence space."""
+class MessageSpan(NamedTuple):
+    """A message occupying ``[start, end)`` in the sequence space.
+
+    A named tuple (one per message a trial sends): immutable, hashable,
+    and equal to any span of the same message over the same range.
+    """
 
     start: int
     end: int
@@ -67,11 +69,13 @@ class StreamLayout:
             length = getattr(message, "wire_length", None)
         if length is None or length <= 0:
             raise ValueError(f"message needs a positive length, got {length!r}")
-        span = MessageSpan(self._next_seq, self._next_seq + length, message)
+        start = self._next_seq
+        end = start + length
+        span = MessageSpan(start, end, message)
         self._spans.append(span)
-        self._starts.append(span.start)
-        self._ends.append(span.end)
-        self._next_seq = span.end
+        self._starts.append(start)
+        self._ends.append(end)
+        self._next_seq = end
         return span
 
     # Spans tile the sequence space in order, so both ``_starts`` and

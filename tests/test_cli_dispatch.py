@@ -9,9 +9,10 @@ Three layers:
   determinism matrix, CI, the recovery test) must parse, and every
   ``--help`` must render;
 * every command must dispatch, exit 0 and print something at the
-  smallest profile (``--trials 1 --workers 1``; attack and profile
-  take neither).  Heavy choices (multi-study sweeps, the verify
-  harness) carry the ``slow`` marker and run in the nightly job.
+  smallest profile (``--trials 1 --workers 1``; attack, profile and
+  fig1 take neither, fingerprint only ``--workers``).  Heavy choices
+  (multi-study sweeps, the verify harness) carry the ``slow`` marker
+  and run in the nightly job.
 """
 
 import re
@@ -72,6 +73,10 @@ BAD_COMBOS = [
     (["profile", "--trials", "3"], "--trials"),
     (["profile", "--workers", "2"], "--workers"),
     (["profile", "--profile"], "--profile"),  # it always profiles
+    # fig1 runs one load; fingerprint's page set is fixed.
+    (["fig1", "--trials", "3"], "--trials"),
+    (["fig1", "--workers", "2"], "--workers"),
+    (["fingerprint", "--trials", "3"], "--trials"),
     (["campaign", "--sess", "10"], "--sess"),  # no abbreviations
 ]
 
@@ -94,7 +99,7 @@ def test_incoherent_flag_combo_exits_2(capsys, argv, flag):
     ["table1", "--trials", "-2"],
     ["attack", "--trial", "-1"],
     ["verify", "--fuzz-examples", "-3", "--only", "fig1"],
-    ["fig1", "--trials", "many"],
+    ["fig5", "--trials", "many"],
 ], ids=" ".join)
 def test_bad_count_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -148,7 +153,9 @@ def _ci_argvs():
 
 REPO_ARGVS = (
     list(EXPERIMENTS.values())
-    + [argv + ["--workers", "4"] for argv in EXPERIMENTS.values()]
+    # The determinism matrix's workers-4 cell, where the command takes it.
+    + [argv + ["--workers", "4"] for argv in EXPERIMENTS.values()
+       if "--workers" in argv]
     + [EXPERIMENTS["robustness-study"] + ["--checkpoint", "ck.json"]]
     + _ci_argvs()
     + recovery_argvs()
@@ -215,15 +222,18 @@ FAST_EXPERIMENTS = [
 SLOW_EXPERIMENTS = ["ablations", "streaming", "generalization"]
 
 
-#: The fast experiments that take neither ``--trials`` nor ``--workers``.
-SINGLE_RUN = ("attack", "profile")
+#: The smallest profile of the fast experiments that do not take both
+#: ``--trials`` and ``--workers``.
+SMALLEST_FLAGS = {
+    "attack": [], "profile": [], "fig1": [], "fingerprint": ["--workers", "1"],
+}
 
 
 @pytest.mark.parametrize("experiment", FAST_EXPERIMENTS)
 def test_experiment_smoke(capsys, experiment):
-    argv = [experiment]
-    if experiment not in SINGLE_RUN:
-        argv += ["--trials", "1", "--workers", "1"]
+    argv = [experiment] + SMALLEST_FLAGS.get(
+        experiment, ["--trials", "1", "--workers", "1"]
+    )
     code, out = _smoke(capsys, argv)
     assert code == 0
     assert out.strip()

@@ -42,7 +42,7 @@ def reference_timer_start(self, delay):
     )
 
 
-def reference_ingress(self, packet, direction):
+def reference_ingress(self, direction, packet):
     """``Middlebox._ingress`` with every forward scheduled as an event."""
     now = self._sim.now
     fault = None

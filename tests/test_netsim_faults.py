@@ -270,7 +270,7 @@ def test_middlebox_fault_drop_is_captured_as_dropped(sim):
     injector = FaultSchedule((Outage(0.0, 1.0),)).bind(rng, "gw.c2s")
     box.install_faults(Direction.CLIENT_TO_SERVER, injector)
     # inject directly at the box, as the link adapter would
-    box._ingress(_packet(), Direction.CLIENT_TO_SERVER)
+    box._ingress(Direction.CLIENT_TO_SERVER, _packet())
     sim.run()
     assert server_sink.received == []
     assert box.fault_dropped == 1
@@ -284,7 +284,7 @@ def test_middlebox_fault_duplication_forwards_twice(sim):
     rng = RandomStreams(9)
     injector = FaultSchedule((Duplication(0.0, 1.0, 1.0),)).bind(rng, "gw")
     box.install_faults(Direction.CLIENT_TO_SERVER, injector)
-    box._ingress(_packet(), Direction.CLIENT_TO_SERVER)
+    box._ingress(Direction.CLIENT_TO_SERVER, _packet())
     sim.run()
     assert len(server_sink.received) == 2
     assert box.forwarded == 2
@@ -296,7 +296,7 @@ def test_middlebox_install_faults_clears_with_none(sim):
     injector = FaultSchedule((Outage(0.0, 1.0),)).bind(rng, "gw")
     box.install_faults(Direction.CLIENT_TO_SERVER, injector)
     box.install_faults(Direction.CLIENT_TO_SERVER, None)
-    box._ingress(_packet(), Direction.CLIENT_TO_SERVER)
+    box._ingress(Direction.CLIENT_TO_SERVER, _packet())
     sim.run()
     assert len(server_sink.received) == 1
     assert box.fault_dropped == 0

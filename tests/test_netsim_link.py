@@ -111,6 +111,12 @@ def test_link_config_validation():
         LinkConfig(loss_rate=1.5)
     with pytest.raises(ValueError):
         LinkConfig(jitter=-0.1)
+    # A link without room for one packet would drop every packet.
+    with pytest.raises(ValueError, match="queue capacity"):
+        LinkConfig(queue_capacity=0)
+    with pytest.raises(ValueError, match="queue capacity"):
+        LinkConfig(queue_capacity=-1)
+    LinkConfig(queue_capacity=1)
 
 
 def test_unattached_end_raises(sim):
